@@ -28,7 +28,6 @@ from .search import (
     SearchSpec,
     count_reduced,
     count_up_to_isomorphism,
-    enumerate_tables,
     minimal_order,
     search,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "direct_product",
     "dump_path",
     "dumps",
-    "enumerate_tables",
     "errors",
     "get_entry",
     "inn",

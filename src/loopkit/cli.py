@@ -101,7 +101,11 @@ def _run_shard(spec, budget_nodes, budget_seconds):
 
 
 def _search_fanned(spec, shards, budget_nodes, budget_seconds):
-    """Run shards in worker processes and merge in slice order."""
+    """Run shards in worker processes and merge in slice order.
+
+    As in ``search``, a "first" run keeps only the first witness, here in
+    slice order, and is complete only when no slice found one.
+    """
     slices = shard(spec, shards)
     visited = 0
     count = 0
@@ -128,7 +132,10 @@ def _search_fanned(spec, shards, budget_nodes, budget_seconds):
                 merged.append(q)
         found = merged
         count = len(found)
-    return SearchResult(spec.order, found, count, visited, elapsed)
+    complete = spec.mode != "first" or count == 0
+    if not complete:
+        found, count = found[:1], 1
+    return SearchResult(spec.order, found, count, visited, elapsed, complete, spec.shard_slice)
 
 
 def cmd_search(args):

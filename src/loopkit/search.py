@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import permutations, product
 
 from .core import LoopTable
 from .errors import BudgetExceeded, InvalidSpec
-from .identities import CONST, LDIV, MUL, RDIV, SAT, UNDET, VAR, VIOLATED, eval_partial
+from .identities import SAT, VIOLATED, partial_evaluator
 from .varieties import check_variety, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
@@ -167,33 +167,17 @@ def identity_status(pt, prog):
     the identity; "satisfied" means every completion does.
     """
     n = pt.order
+    evaluate = partial_evaluator(prog, n)
     first_undet = None
-    for assign in _assignments(prog.nvars, n):
-        status, cell = eval_partial(prog, pt.cells, n, assign)
-        if status == VIOLATED:
+    for assign in product(range(n), repeat=prog.nvars):
+        cell = evaluate(pt.cells, assign)
+        if cell == VIOLATED:
             return "violated", None
-        if status == UNDET and first_undet is None:
+        if cell >= 0 and first_undet is None:
             first_undet = cell
     if first_undet is not None:
         return "undetermined", first_undet
     return "satisfied", None
-
-
-def _assignments(nvars, n):
-    if nvars == 0:
-        yield ()
-        return
-    assign = [0] * nvars
-
-    def rec(i):
-        if i == nvars:
-            yield tuple(assign)
-            return
-        for v in range(n):
-            assign[i] = v
-            yield from rec(i + 1)
-
-    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,85 +194,6 @@ def _split_constraints(names):
         except ValueError:
             leaf_only.append(name)
     return progs, leaf_only
-
-
-def _build_instances(progs, n):
-    """Ground every program over all assignments into flat instance arrays."""
-    inst_ops = []
-    inst_regs = []
-    inst_ends = []
-    seen_ops = {}
-    for prog in progs:
-        compute = []
-        var_slots = []
-        template = [0] * len(prog.ops)
-        for i, (op, a, b) in enumerate(prog.ops):
-            if op == VAR:
-                var_slots.append((i, a))
-            elif op == CONST:
-                template[i] = 0
-            else:
-                compute.append((op, i, a, b))
-        key = id(prog)
-        if key not in seen_ops:
-            seen_ops[key] = tuple(compute)
-        ops = seen_ops[key]
-        for assign in _assignments(prog.nvars, n):
-            regs = list(template)
-            for slot, v in var_slots:
-                regs[slot] = assign[v]
-            inst_ops.append(ops)
-            inst_regs.append(regs)
-            inst_ends.append((prog.lhs, prog.rhs))
-    return inst_ops, inst_regs, inst_ends
-
-
-def _eval_instance(ops, regs, lhs, rhs, cells, n):
-    """Mirror of identities.eval_partial on a pre-grounded instance."""
-    for op, dst, a, b in ops:
-        va = regs[a]
-        vb = regs[b]
-        if op == MUL:
-            ci = va * n + vb
-            v = cells[ci]
-            if v < 0:
-                return UNDET, ci
-            regs[dst] = v
-        elif op == LDIV:
-            row = va * n
-            found = -1
-            hole = -1
-            for c in range(n):
-                v = cells[row + c]
-                if v == vb:
-                    found = c
-                    break
-                if v < 0 and hole < 0:
-                    hole = row + c
-            if found < 0:
-                if hole < 0:
-                    return VIOLATED, -1
-                return UNDET, hole
-            regs[dst] = found
-        else:
-            col = vb
-            found = -1
-            hole = -1
-            for r in range(n):
-                v = cells[r * n + col]
-                if v == va:
-                    found = r
-                    break
-                if v < 0 and hole < 0:
-                    hole = r * n + col
-            if found < 0:
-                if hole < 0:
-                    return VIOLATED, -1
-                return UNDET, hole
-            regs[dst] = found
-    if regs[lhs] == regs[rhs]:
-        return SAT, -1
-    return VIOLATED, -1
 
 
 _STATE_DONE = -2
@@ -365,11 +270,6 @@ def search(spec, budget_nodes=None, budget_seconds=None, prune_values=True):
     return SearchResult(n, found, counts[0], visited, elapsed, complete, spec.shard_slice)
 
 
-def enumerate_tables(spec, **kwargs):
-    """Stream the tables a spec finds, in deterministic search order."""
-    yield from search(spec, **kwargs).found
-
-
 def _search_one(
     n,
     preseed,
@@ -409,16 +309,18 @@ def _search_one(
         row_free[r] ^= bit
         col_free[c] ^= bit
 
-    inst_ops, inst_regs, inst_ends = _build_instances(progs, n)
-    ninst = len(inst_ops)
-    inst_state = [0] * ninst
+    # Every ground instance of the programs, as (evaluator, assignment).
+    instances = []
+    for prog in progs:
+        evaluate = partial_evaluator(prog, n)
+        instances.extend((evaluate, assign) for assign in product(range(n), repeat=prog.nvars))
+    inst_state = [0] * len(instances)
     watch = [[] for _ in range(n2)]
-    for i in range(ninst):
-        lhs, rhs = inst_ends[i]
-        status, cell = _eval_instance(inst_ops[i], inst_regs[i], lhs, rhs, cells, n)
-        if status == VIOLATED:
+    for i, (evaluate, assign) in enumerate(instances):
+        cell = evaluate(cells, assign)
+        if cell == VIOLATED:
             return visited
-        if status == SAT:
+        if cell == SAT:
             inst_state[i] = _STATE_DONE
         else:
             inst_state[i] = cell
@@ -495,14 +397,12 @@ def _search_one(
             for i in woken:
                 if inst_state[i] != idx:
                     continue
-                lhs, rhs = inst_ends[i]
-                ops = inst_ops[i]
-                regs = inst_regs[i]
-                status, cell = _eval_instance(ops, regs, lhs, rhs, cells, n)
-                if status == VIOLATED:
+                evaluate, assign = instances[i]
+                cell = evaluate(cells, assign)
+                if cell == VIOLATED:
                     ok = False
                     break
-                if status == SAT:
+                if cell == SAT:
                     inst_state[i] = _STATE_DONE
                     continue
                 inst_state[i] = cell
@@ -516,8 +416,7 @@ def _search_one(
                         b2 = m2 & -m2
                         m2 ^= b2
                         cells[cell] = b2.bit_length() - 1
-                        s2, _ = _eval_instance(ops, regs, lhs, rhs, cells, n)
-                        if s2 == VIOLATED:
+                        if evaluate(cells, assign) == VIOLATED:
                             removed |= b2
                         cells[cell] = -1
                     if removed:

@@ -16,7 +16,6 @@ from loopkit.search import (
     count_reduced,
     count_up_to_isomorphism,
     enumerate_reduced_naive,
-    enumerate_tables,
     minimal_order,
     search,
 )
@@ -199,7 +198,7 @@ def test_criterion_6_cross_path_consistency(capsys):
     loops = 0
     mismatches = 0
     for n in range(1, 7):
-        for q in enumerate_tables(SearchSpec(order=n, mode="collect")):
+        for q in search(SearchSpec(order=n, mode="collect")).found:
             loops += 1
             scans = (
                 structure.left_nucleus(q),

@@ -4,6 +4,7 @@ import pytest
 
 from loopkit import cli, varieties
 from loopkit.core import dump_path, loads
+from loopkit.search import SearchSpec, search
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import TheoremReport
 
@@ -122,6 +123,24 @@ def test_search_sharded_collect(tmp_path, capsys):
     assert len(files) == 6
     seen = {loads(f.read_text()) for f in files}
     assert len(seen) == 6
+
+
+def test_search_sharded_first_keeps_one_witness(tmp_path, capsys):
+    code = cli.main([
+        "search", "--order", "5", "--mode", "first", "--shards", "3", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert "found=1 " in capsys.readouterr().out
+    assert [f.name for f in tmp_path.glob("*.loop")] == ["order5-0.loop"]
+    # The witness is the first in slice order, and, as in search(), a
+    # "first" run that stopped early is not complete.
+    spec = SearchSpec(order=5, mode="first")
+    fanned = cli._search_fanned(spec, 3, None, None)
+    in_process = search(SearchSpec(order=5, mode="first", shards=3))
+    assert [q.rows for q in fanned.found] == [q.rows for q in in_process.found]
+    assert (fanned.count, fanned.complete, fanned.shard_slice) == (1, False, ())
+    counted = cli._search_fanned(SearchSpec(order=5, mode="count"), 3, None, None)
+    assert (counted.count, counted.complete, counted.shard_slice) == (56, True, ())
 
 
 def test_verify_requires_input(capsys):

@@ -1,17 +1,25 @@
-"""Identity compiler and the partial-table evaluator."""
+"""Identity compiler and the compiled full and partial evaluators, against
+the interpreted oracle in ``identity_oracle``."""
+
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from identity_oracle import SAT as ORACLE_SAT
+from identity_oracle import UNDET, eval_partial, holds_at
+from identity_oracle import check_identity as oracle_check_identity
+from loopkit.core import LoopTable
 from loopkit.identities import (
     SAT,
-    UNDET,
     VIOLATED,
     check_identity,
     compile_identity,
-    eval_partial,
-    holds_at,
+    partial_evaluator,
 )
 from loopkit.tables import cyclic, dihedral
+from loopkit.varieties import CATALOG
 
 ASSOC = compile_identity("((x*y)*z) = (x*(y*z))")
 COMM = compile_identity("(x*y) = (y*x)")
@@ -69,24 +77,31 @@ def _partial_from(rows, n):
     return cells
 
 
+def _oracle_result(prog, cells, n, assign):
+    """The oracle's answer in the compiled evaluator's encoding."""
+    status, cell = eval_partial(prog, cells, n, assign)
+    if status == UNDET:
+        return cell
+    return SAT if status == ORACLE_SAT else VIOLATED
+
+
 def test_eval_partial_blocks_on_first_needed_hole():
     n = 3
     # Row 0 filled (identity), row 1 filled, row 2 empty.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
-    status, cell = eval_partial(COMM, cells, n, [1, 2])
     # Needs (1*2) = cell 5 (known) and (2*1) = cell 7 (hole).
-    assert status == UNDET
-    assert cell == 2 * n + 1
+    assert partial_evaluator(COMM, n)(cells, (1, 2)) == 2 * n + 1
+    assert _oracle_result(COMM, cells, n, (1, 2)) == 2 * n + 1
 
 
 def test_eval_partial_judges_filled_instances():
     n = 3
     cells = _partial_from([[0, 1, 2], [1, 2, 0], [2, 0, 1]], n)
-    assert eval_partial(COMM, cells, n, [1, 2]) == (SAT, -1)
-    assert eval_partial(ASSOC, cells, n, [1, 1, 1]) == (SAT, -1)
+    assert partial_evaluator(COMM, n)(cells, (1, 2)) == SAT
+    assert partial_evaluator(ASSOC, n)(cells, (1, 1, 1)) == SAT
     bad = _partial_from([[0, 1, 2], [1, 0, 2], [2, 1, 0]], n)
     # 1*2 = 2 but 2*1 = 1 in this (non-Latin) grid.
-    assert eval_partial(COMM, bad, n, [1, 2]) == (VIOLATED, -1)
+    assert partial_evaluator(COMM, n)(bad, (1, 2)) == VIOLATED
 
 
 def test_eval_partial_division_scans():
@@ -94,12 +109,14 @@ def test_eval_partial_division_scans():
     # Row 1 has no cell equal to 0 yet; 1\0 blocks on the first hole.
     cells = _partial_from([[0, 1, 2], [1, -1, -1]], n)
     ldiv_prog = compile_identity("(x\\e) = y")
-    status, cell = eval_partial(ldiv_prog, cells, n, [1, 0])
-    assert status == UNDET
-    assert cell == 1 * n + 1
+    assert partial_evaluator(ldiv_prog, n)(cells, (1, 0)) == 1 * n + 1
     # Once the row is complete the division resolves.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
-    assert eval_partial(ldiv_prog, cells, n, [1, 2]) == (SAT, -1)
+    assert partial_evaluator(ldiv_prog, n)(cells, (1, 2)) == SAT
+    # Column 1 has no cell equal to 2 yet; 2/1 blocks on its first hole.
+    cells = _partial_from([[0, 1, 2], [1, 0, 2], [2, -1, -1]], n)
+    rdiv_prog = compile_identity("(x/y) = z")
+    assert partial_evaluator(rdiv_prog, n)(cells, (2, 1, 0)) == 2 * n + 1
 
 
 def test_eval_partial_division_violated_when_row_full():
@@ -107,4 +124,74 @@ def test_eval_partial_division_violated_when_row_full():
     # Row 1 is complete, so 1\2 resolves to 1; the identity wants y = 0.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
     prog = compile_identity("(x\\z) = y")
-    assert eval_partial(prog, cells, n, [1, 0, 2]) == (VIOLATED, -1)
+    assert partial_evaluator(prog, n)(cells, (1, 0, 2)) == VIOLATED
+    # Row 1 of this non-Latin grid has no hole and no 2: 1\2 never resolves.
+    cells = _partial_from([[0, 1, 2], [1, 0, 0]], n)
+    assert partial_evaluator(prog, n)(cells, (1, 0, 2)) == VIOLATED
+    assert _oracle_result(prog, cells, n, (1, 0, 2)) == VIOLATED
+
+
+def test_compiled_functions_are_cached_per_order():
+    prog = compile_identity("((x*y)*z) = (x*(y*z))")
+    assert partial_evaluator(prog, 4) is partial_evaluator(prog, 4)
+    assert partial_evaluator(prog, 4) is not partial_evaluator(prog, 5)
+    assert check_identity(cyclic(3), prog)
+    checker = prog.compiled[None]
+    assert check_identity(dihedral(3), prog)
+    assert prog.compiled[None] is checker
+
+
+# Every catalog equation and every program the search propagates.
+PROGRAMS = tuple(
+    {
+        id(prog): prog
+        for entry in CATALOG.values()
+        for prog in entry.equations + entry.propagation_programs()
+    }.values()
+)
+
+
+@st.composite
+def loops(draw):
+    """A random loop of order at most 6: a reduced Latin square filled row
+    by row, trying each cell's values in an order the strategy draws."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [[(i if j == 0 else j if i == 0 else -1) for j in range(n)] for i in range(n)]
+    holes = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(holes):
+            return True
+        i, j = holes[k]
+        values = [v for v in range(n) if v not in rows[i] and all(r[j] != v for r in rows)]
+        rng.shuffle(values)
+        for v in values:
+            rows[i][j] = v
+            if fill(k + 1):
+                return True
+        rows[i][j] = -1
+        return False
+
+    assert fill(0)
+    return LoopTable(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_compiled_checker_matches_oracle(q):
+    for prog in PROGRAMS:
+        assert check_identity(q, prog) == oracle_check_identity(q, prog), prog.source
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_partial_evaluator_matches_oracle(data):
+    # Grids need not be Latin or have an identity row: the evaluator must
+    # judge and block exactly where the oracle does on any cells.
+    n = data.draw(st.integers(1, 5))
+    cells = data.draw(st.lists(st.integers(-1, n - 1), min_size=n * n, max_size=n * n))
+    prog = data.draw(st.sampled_from(PROGRAMS))
+    evaluate = partial_evaluator(prog, n)
+    for assign in product(range(n), repeat=prog.nvars):
+        assert evaluate(cells, assign) == _oracle_result(prog, cells, n, assign), prog.source

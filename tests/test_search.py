@@ -13,7 +13,6 @@ from loopkit.search import (
     count_reduced,
     count_up_to_isomorphism,
     enumerate_reduced_naive,
-    enumerate_tables,
     minimal_order,
     propagate_identity,
     search,
@@ -133,9 +132,20 @@ def test_modes_are_consistent():
     assert first.found[0].rows in [q.rows for q in collected.found]
 
 
-def test_enumerate_tables_streams():
-    spec = SearchSpec(order=4, mode="collect")
-    assert tables(enumerate_tables(spec)) == tables(search(spec).found)
+@pytest.mark.parametrize(
+    "order, required, forbidden, mode, count, visited",
+    [
+        (6, ("osborn",), ("cc", "moufang"), "count", 0, 2552),
+        (5, ("moufang",), (), "collect", 6, 93),
+        (6, ("buchsteiner",), (), "count", 120, 3161),
+        (6, ("cc",), ("associative",), "count", 40, 2880),
+    ],
+)
+def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited):
+    # Identity propagation and value pruning decide which nodes the search
+    # visits; a faster evaluator must not change them.
+    res = search(SearchSpec(order=order, required=required, forbidden=forbidden, mode=mode))
+    assert (res.count, res.visited) == (count, visited)
 
 
 def test_shards_partition_the_space():
