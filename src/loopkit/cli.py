@@ -15,7 +15,7 @@ import time
 
 from . import bk, structure, varieties
 from .core import LoopTable, dump_path, dumps, load_path, principal_isotope
-from .errors import BudgetExceeded, LoopError
+from .errors import BudgetExceeded, LoopError, NotNormal
 from .search import SearchResult, SearchSpec, canonical_key, shard
 from .search import search as run_search
 
@@ -58,9 +58,10 @@ def _nucleus_quotient_line(q, nuc):
         return "nucleus quotient: trivial (nucleus is everything)"
     if len(nuc) == 1:
         return "nucleus quotient: n/a (nucleus is trivial)"
-    if not structure.is_normal_subloop(q, nuc):
+    try:
+        qt, _ = structure.quotient(q, nuc)
+    except NotNormal:
         return "nucleus quotient: n/a (nucleus not normal)"
-    qt, _ = structure.quotient(q, nuc)
     if varieties.check_variety(qt, "associative") and varieties.check_variety(qt, "commutative"):
         return "nucleus quotient: abelian group"
     return "nucleus quotient: not an abelian group"

@@ -2,11 +2,12 @@
 
 import pytest
 
-from loopkit import cli, varieties
+from loopkit import cli, structure, varieties
 from loopkit.core import dump_path, loads
 from loopkit.search import SearchSpec, search
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import TheoremReport
+from normality_oracle import is_normal_subloop as oracle_is_normal
 
 
 @pytest.fixture()
@@ -56,6 +57,27 @@ def test_check_reports_structure(z4_file, capsys):
     assert "center: {0, 1, 2, 3}" in out
     assert "nilpotency class: 1" in out
     assert "gloop" not in out
+
+
+def _check_output(q, tmp_path, capsys):
+    path = tmp_path / "q.loop"
+    dump_path(q, str(path))
+    assert cli.main(["check", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_check_nucleus_quotient_abelian(cc6, tmp_path, capsys):
+    assert "nucleus quotient: abelian group" in _check_output(cc6, tmp_path, capsys)
+
+
+def test_check_nucleus_not_normal(classes6, tmp_path, capsys):
+    # Exactly one order-6 class has a proper nontrivial nucleus that the
+    # Mlt-stabilizer oracle finds not normal; its nucleus has order 2.
+    nuclei = [(q, structure.nucleus(q)) for _id, q in classes6]
+    odd = [(q, nuc) for q, nuc in nuclei if 1 < len(nuc) < 6 and not oracle_is_normal(q, nuc)]
+    assert [len(nuc) for _q, nuc in odd] == [2]
+    out = _check_output(odd[0][0], tmp_path, capsys)
+    assert "nucleus quotient: n/a (nucleus not normal)" in out
 
 
 def test_check_gloop_flag(z4_file, capsys):

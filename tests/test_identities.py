@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from identity_oracle import SAT as ORACLE_SAT
 from identity_oracle import UNDET, eval_partial, holds_at
 from identity_oracle import check_identity as oracle_check_identity
-from loopkit.core import LoopTable
+from loop_strategies import loops
 from loopkit.identities import (
     SAT,
     VIOLATED,
@@ -149,32 +149,6 @@ PROGRAMS = tuple(
         for prog in entry.equations + entry.propagation_programs()
     }.values()
 )
-
-
-@st.composite
-def loops(draw):
-    """A random loop of order at most 6: a reduced Latin square filled row
-    by row, trying each cell's values in an order the strategy draws."""
-    n = draw(st.integers(1, 6))
-    rng = draw(st.randoms(use_true_random=False))
-    rows = [[(i if j == 0 else j if i == 0 else -1) for j in range(n)] for i in range(n)]
-    holes = [(i, j) for i in range(1, n) for j in range(1, n)]
-
-    def fill(k):
-        if k == len(holes):
-            return True
-        i, j = holes[k]
-        values = [v for v in range(n) if v not in rows[i] and all(r[j] != v for r in rows)]
-        rng.shuffle(values)
-        for v in values:
-            rows[i][j] = v
-            if fill(k + 1):
-                return True
-        rows[i][j] = -1
-        return False
-
-    assert fill(0)
-    return LoopTable(rows)
 
 
 @settings(max_examples=60, deadline=None)

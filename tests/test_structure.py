@@ -1,12 +1,15 @@
 """Subloops, nuclei, center, normality, quotients, nilpotency."""
 
 import pytest
+from hypothesis import given, settings
 
+from loop_strategies import loops
 from loopkit import perms, structure
 from loopkit.core import isomorphic
 from loopkit.errors import NotASubloop, NotNormal
 from loopkit.structure import SubloopSet
 from loopkit.tables import chein_double, cyclic, dihedral
+from normality_oracle import is_normal_subloop as oracle_is_normal
 
 
 def members(s):
@@ -112,13 +115,52 @@ def test_normality_in_s3(s3):
     assert not structure.is_normal_subloop(s3, reflection)
 
 
-def test_standard_generator_invariant_matches_normality(corpus5, s3, cc6):
-    # Invariance under the generator families alone is formally weaker
-    # than normality; on this corpus the two judgements coincide.
+def test_normality_matches_oracle(corpus5, s3, cc6):
     loops = [q for _id, q in corpus5] + [s3, cc6]
     for q in loops:
         for s in structure.all_subloops(q):
-            assert structure.standard_generator_invariant(q, s) == structure.is_normal_subloop(q, s)
+            assert structure.is_normal_subloop(q, s) == oracle_is_normal(q, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loops())
+def test_normality_matches_oracle_on_random_loops(q):
+    for s in structure.all_subloops(q):
+        assert structure.is_normal_subloop(q, s) == oracle_is_normal(q, s)
+
+
+@pytest.mark.parametrize("name, q, n_subloops, n_normal", [
+    ("m12", chein_double(dihedral(3)), 24, 6),
+    ("d16", dihedral(8), 19, 7),
+])
+def test_normal_subloop_counts_are_pinned(name, q, n_subloops, n_normal):
+    subs = structure.all_subloops(q)
+    assert len(subs) == n_subloops, name
+    assert sum(structure.is_normal_subloop(q, s) for s in subs) == n_normal, name
+    assert sum(oracle_is_normal(q, s) for s in subs) == n_normal, name
+
+
+def test_normality_builds_no_group(cc6, m12, monkeypatch):
+    cases = []
+    for q in (cc6, m12):
+        subs = structure.all_subloops(q)
+        normal = [oracle_is_normal(q, s) for s in subs]
+        cases.append((q, subs, normal, structure.nilpotency_class(q)))
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("a permutation group was built")
+
+    monkeypatch.setattr(perms, "closure", no_closure)
+    for q, subs, normal, ncls in cases:
+        assert [structure.is_normal_subloop(q, s) for s in subs] == normal
+        for s, is_normal in zip(subs, normal):
+            if is_normal:
+                qt, _ = structure.quotient(q, s)
+                assert qt.order * len(s) == q.order
+            else:
+                with pytest.raises(NotNormal):
+                    structure.quotient(q, s)
+        assert structure.nilpotency_class(q) == ncls
 
 
 def test_quotient_of_z6(z6):

@@ -3,7 +3,7 @@
 import pytest
 
 from loopkit import structure, varieties
-from loopkit.core import direct_product, opposite
+from loopkit.core import direct_product, isomorphic, opposite, principal_isotope
 from loopkit.errors import NotAutotopism, UnknownVariety
 from loopkit.perms import Perm
 from loopkit.tables import chein_double, cyclic, dihedral
@@ -150,6 +150,19 @@ def test_g_loop_recognition(z4, cc6, q5):
     assert not is_g_loop(q5)
 
 
+def _g_loop_by_full_scan(q):
+    return all(
+        isomorphic(q, principal_isotope(q, a, b)) is not None
+        for a in range(q.order)
+        for b in range(q.order)
+    )
+
+
+def test_g_loop_matches_full_isotope_scan(corpus5, z4, z6, s3, d8, q5, cc6, m12):
+    loops = [q for _id, q in corpus5] + [z4, z6, s3, d8, q5, cc6, m12]
+    assert [is_g_loop(q) for q in loops] == [_g_loop_by_full_scan(q) for q in loops]
+
+
 def test_theorem_suite_clean_on_named_loops(z4, z6, s3, d8, q5, cc6, m12):
     for loop_id, q in (("z4", z4), ("z6", z6), ("s3", s3), ("d8", d8),
                        ("q5", q5), ("cc6", cc6), ("m12", m12)):
@@ -209,6 +222,15 @@ def test_order16_report_on_doubled_d8():
     assert statuses["fourth_power_translations"] == "yes"
     assert statuses["center_order_two"] == "PASS"
     assert statuses["dihedral8_subloop"] == "PASS"
+
+
+def test_order16_report_lets_unexpected_errors_through(monkeypatch):
+    def broken(q, s):
+        raise RuntimeError("bug in quotient")
+
+    monkeypatch.setattr(structure, "quotient", broken)
+    with pytest.raises(RuntimeError):
+        order16_report(dihedral(8), "d16")
 
 
 def test_order16_report_rejects_other_orders(z4):
