@@ -14,9 +14,9 @@ import sys
 import time
 
 from . import bk, structure, varieties
-from .core import LoopTable, dump_path, dumps, load_path, principal_isotope
+from .core import LoopTable, canonical_key, dump_path, dumps, load_path, principal_isotope
 from .errors import BudgetExceeded, LoopError, NotNormal
-from .search import SearchResult, SearchSpec, canonical_key, shard
+from .search import SearchResult, SearchSpec, shard
 from .search import search as run_search
 
 EXIT_OK = 0
@@ -121,18 +121,13 @@ def _search_fanned(spec, shards, budget_nodes, budget_seconds):
         _tag, shard_visited, shard_count, rows_list, shard_elapsed = outcome
         visited += shard_visited
         count += shard_count
-        found.extend(LoopTable(rows, check=False) for rows in rows_list)
+        found.extend(rows_list)
         elapsed = max(elapsed, shard_elapsed)
     if spec.isomorphs == "up_to_iso":
-        seen = set()
-        merged = []
-        for q in found:
-            key = canonical_key(q)
-            if key not in seen:
-                seen.add(key)
-                merged.append(q)
-        found = merged
+        # Shards return canonical tables, so a class found twice has equal rows.
+        found = list(dict.fromkeys(found))
         count = len(found)
+    found = [LoopTable(rows, check=False) for rows in found]
     complete = spec.mode != "first" or count == 0
     if not complete:
         found, count = found[:1], 1

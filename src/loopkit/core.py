@@ -11,6 +11,16 @@ Conventions used everywhere in this package:
 
 Division tables are precomputed at construction, so all element level
 operations are O(1) lookups.
+
+Canonical forms and isomorphism share one labeling engine, the walk: label
+0, then, until every element has a label, give the next label to a
+generator outside the labeled part and close under multiplication in an
+order that depends only on labels, never on ids.  Each walk labels every
+element: in a finite loop a set closed under multiplication is a subloop,
+because each translation is injective on it and therefore onto.
+``canonical_table`` is the least relabeled table over all walks, an
+invariant that is itself a copy of the loop; ``isomorphic`` searches the
+walks of one loop for the table of the other's.
 """
 
 from __future__ import annotations
@@ -199,82 +209,125 @@ def _cycle_type(images):
     return tuple(lens)
 
 
+# ---------------------------------------------------------------------------
+# walks: the one labeling engine behind canonical forms and isomorphism
+
+
+def _walks(q, pick):
+    """Yield ``(order, label)`` for each walk of q (see the module
+    docstring), depth first.
+
+    For each newly labeled element k in turn, the closure gives the next
+    label to each unlabeled product of k with an earlier label j <= k,
+    both ways round.  ``pick(step, outside)`` chooses the generators to try
+    at that step from the unlabeled ids ``outside`` (ascending).
+    ``order[i]`` is the element labeled i and ``label[x]`` the label of x;
+    both lists are reused and change once the walk resumes.
+    """
+    n = q.order
+    rows = q.rows
+    order = [0]
+    label = [-1] * n
+    label[0] = 0
+
+    def walk(step):
+        m = len(order)
+        if m == n:
+            yield order, label
+            return
+        for g in pick(step, [x for x in range(n) if label[x] < 0]):
+            label[g] = m
+            order.append(g)
+            k = m
+            while k < len(order):
+                x = order[k]
+                row = rows[x]
+                for j in range(1, k + 1):
+                    y = order[j]
+                    for z in (row[y], rows[y][x]):
+                        if label[z] < 0:
+                            label[z] = len(order)
+                            order.append(z)
+                k += 1
+            yield from walk(step + 1)
+            for z in order[m:]:
+                label[z] = -1
+            del order[m:]
+
+    return walk(0)
+
+
+def _relabeled_rows(q, order, label):
+    """The rows of q under a walk's labeling, lazily, row 0 first."""
+    rows = q.rows
+    for x in order:
+        row = rows[x]
+        yield [label[row[y]] for y in order]
+
+
+def canonical_table(q):
+    """The least relabeled table of q over all its walks (see
+    ``canonical_key``); a walk is dropped at its first row that is larger
+    than the best so far."""
+    best = None
+    for order, label in _walks(q, lambda step, outside: outside):
+        if best is None:
+            best = list(_relabeled_rows(q, order, label))
+            continue
+        rows = _relabeled_rows(q, order, label)
+        for i, row in enumerate(rows):
+            if row != best[i]:
+                if row < best[i]:
+                    best[i:] = [row, *rows]
+                break
+    return LoopTable(best, check=False)
+
+
+def canonical_key(q):
+    """The flattened ``canonical_table``: equal exactly for isomorphic loops.
+
+    An isomorphism q -> q' carries each walk of q to a walk of q' with an
+    equal table, so the key is an invariant; and it is itself a relabeled
+    copy of q, so equal keys mean isomorphic loops.
+    """
+    return tuple(v for row in canonical_table(q).rows for v in row)
+
+
 def isomorphic(q1, q2):
     """An isomorphism q1 -> q2 as a Perm, or None.
 
-    Backtracks over images of a generating sequence; candidate images are
-    restricted to elements with the same translation fingerprint, and each
-    assignment is propagated through the partial multiplication closure.
+    The target is the table of q1's greedy walk, which always picks the
+    smallest id still outside.  q2 is walked with each step's generator
+    restricted to the elements whose translation fingerprints match those
+    of q1's generator at that step, until a walk gives the target table.
+    The map from the i-th element of q1's walk to the i-th of q2's is then
+    an isomorphism, and any isomorphism carries q1's walk to one of these.
     """
     require_same_order(q1, q2)
-    n = q1.order
     fp1 = _translation_fingerprints(q1)
     fp2 = _translation_fingerprints(q2)
     if sorted(fp1) != sorted(fp2):
         return None
-    candidates = [[y for y in range(n) if fp2[y] == fp1[x]] for x in range(n)]
+    gens = []
 
-    img = [-1] * n
-    used = [False] * n
-    img[0] = 0
-    used[0] = True
+    def greedy(step, outside):
+        gens.append(outside[0])
+        return outside[:1]
 
-    def close(newly):
-        """Propagate images through products; returns trail or None on clash."""
-        trail = []
-        queue = list(newly)
-        while queue:
-            x = queue.pop()
-            for y in range(n):
-                if img[y] < 0:
-                    continue
-                for a, b in ((x, y), (y, x)):
-                    z = q1.rows[a][b]
-                    w = q2.rows[img[a]][img[b]]
-                    if img[z] < 0:
-                        if used[w]:
-                            _undo(trail)
-                            return None
-                        img[z] = w
-                        used[w] = True
-                        trail.append(z)
-                        queue.append(z)
-                    elif img[z] != w:
-                        _undo(trail)
-                        return None
-        return trail
+    def matching(step, outside):
+        if step == len(gens):
+            return []
+        return [y for y in outside if fp2[y] == fp1[gens[step]]]
 
-    def _undo(trail):
-        for z in trail:
-            used[img[z]] = False
-            img[z] = -1
-
-    def extend():
-        try:
-            x = next(x for x in range(n) if img[x] < 0)
-        except StopIteration:
-            return True
-        for w in candidates[x]:
-            if used[w]:
-                continue
-            img[x] = w
-            used[w] = True
-            trail = close([x])
-            if trail is not None:
-                if extend():
-                    return True
-                _undo(trail)
-            used[w] = False
-            img[x] = -1
-        return False
-
-    if not extend():
-        return None
-    for x in range(n):
-        for y in range(n):
-            if img[q1.rows[x][y]] != q2.rows[img[x]][img[y]]:
-                return None
-    return Perm(img)
+    order1, label1 = next(_walks(q1, greedy))
+    target = list(_relabeled_rows(q1, order1, label1))
+    for order2, label2 in _walks(q2, matching):
+        if all(row == want for row, want in zip(_relabeled_rows(q2, order2, label2), target)):
+            img = [0] * q1.order
+            for x, y in zip(order1, order2):
+                img[x] = y
+            return Perm(img)
+    return None
 
 
 def dumps(q):

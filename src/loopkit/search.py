@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
-from .core import LoopTable
+# canonical_key is imported for callers that take it from this module.
+from .core import LoopTable, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, partial_evaluator
 from .varieties import check_variety, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
-_ISOMORPHS = ("all", "reduced", "up_to_iso")
+_ISOMORPHS = ("reduced", "up_to_iso")
 _CELL_ORDERS = ("mrv", "row_major")
 
 
@@ -31,8 +32,8 @@ class SearchSpec:
 
     ``mode``: "collect" keeps every table found, "count" keeps none,
     "first" stops at the first.  ``isomorphs``: "reduced" emits one table
-    per reduced form ("all" is an alias, since a table with identity 0 is
-    already reduced), "up_to_iso" canonicalizes and deduplicates.
+    per reduced form, "up_to_iso" emits the canonical table of each
+    isomorphism class once.
     ``shards`` > 1 splits the run into that many independent slices and
     merges them; ``shard_slice=(i, k)`` restricts to slice i of k.
     """
@@ -338,11 +339,10 @@ def _search_one(
             if check_variety(q, name):
                 return
         if up_to_iso:
-            key = canonical_key(q)
-            if key in seen_canonical:
+            q = canonical_table(q)
+            if q.rows in seen_canonical:
                 return
-            seen_canonical.add(key)
-            q = LoopTable([list(key[i * n : (i + 1) * n]) for i in range(n)])
+            seen_canonical.add(q.rows)
         counts[0] += 1
         if keep:
             found.append(q)
@@ -473,52 +473,7 @@ def _row1_prefixes(n, k):
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and counting
-
-
-def canonical_key(q):
-    """Lexicographically minimal flattened table over relabelings fixing 0.
-
-    Two loops are isomorphic exactly when their canonical keys are equal,
-    since any isomorphism fixes the identity element.
-    """
-    n = q.order
-    rows = q.rows
-    if n == 1:
-        return (0,)
-    best = None
-    inv = [0] * n
-    for p in permutations(range(1, n)):
-        sigma = (0,) + p
-        for i, v in enumerate(sigma):
-            inv[v] = i
-        cur = []
-        append = cur.append
-        abort = False
-        decided = best is None
-        for i in range(n):
-            src = rows[inv[i]]
-            for j in range(n):
-                v = sigma[src[inv[j]]]
-                if not decided:
-                    b = best[len(cur)]
-                    if v > b:
-                        abort = True
-                        break
-                    if v < b:
-                        decided = True
-                append(v)
-            if abort:
-                break
-        if not abort:
-            best = cur
-    return tuple(best)
-
-
-def canonical_table(q):
-    key = canonical_key(q)
-    n = q.order
-    return LoopTable([list(key[i * n : (i + 1) * n]) for i in range(n)])
+# counting
 
 
 def count_reduced(order, required=(), forbidden=(), **kwargs):
@@ -565,60 +520,3 @@ def propagate_identity(partial, name):
         if status == "violated":
             return "contradiction"
     return "consistent"
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-
-
-def enumerate_reduced_naive(order, required=(), forbidden=()):
-    """Row-by-row enumeration sharing no code with the engine.
-
-    Exists as an oracle for testing the engine at small orders; do not
-    use beyond order 6.
-    """
-    n = order
-    for name in tuple(required) + tuple(forbidden):
-        get_entry(name)
-    if n == 1:
-        q = LoopTable([[0]])
-        keep = all(check_variety(q, r) for r in required) and not any(
-            check_variety(q, f) for f in forbidden
-        )
-        return [q] if keep else []
-    rows = [list(range(n))]
-    col_used = [1 << j for j in range(n)]
-    out = []
-
-    def fill_row(r, row, used, j):
-        if j == n:
-            rows.append(list(row))
-            for c in range(n):
-                col_used[c] |= 1 << row[c]
-            next_row(r + 1)
-            rows.pop()
-            for c in range(n):
-                col_used[c] &= ~(1 << row[c])
-            return
-        for v in range(n):
-            bit = 1 << v
-            if used & bit or col_used[j] & bit:
-                continue
-            row[j] = v
-            fill_row(r, row, used | bit, j + 1)
-        row[j] = -1
-
-    def next_row(r):
-        if r == n:
-            q = LoopTable([list(x) for x in rows])
-            if all(check_variety(q, name) for name in required) and not any(
-                check_variety(q, name) for name in forbidden
-            ):
-                out.append(q)
-            return
-        row = [-1] * n
-        row[0] = r
-        fill_row(r, row, 1 << r, 1)
-
-    next_row(1)
-    return out

@@ -6,10 +6,11 @@ from loopkit.core import LoopTable
 
 
 @st.composite
-def loops(draw):
-    """A random loop of order at most 6: a reduced Latin square filled row
-    by row, trying each cell's values in an order the strategy draws."""
-    n = draw(st.integers(1, 6))
+def loops(draw, order=None):
+    """A random loop of the given order, else of order at most 6: a reduced
+    Latin square filled row by row, trying each cell's values in an order
+    the strategy draws."""
+    n = order or draw(st.integers(1, 6))
     rng = draw(st.randoms(use_true_random=False))
     rows = [[(i if j == 0 else j if i == 0 else -1) for j in range(n)] for i in range(n)]
     holes = [(i, j) for i in range(1, n) for j in range(1, n)]

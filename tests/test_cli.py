@@ -105,6 +105,16 @@ def test_search_count_iso(capsys):
     assert "order=5" in out
 
 
+def test_search_sharded_count_iso(capsys):
+    assert cli.main(["search", "--order", "5", "--mode", "count-iso", "--shards", "3"]) == 0
+    assert "found=6 " in capsys.readouterr().out
+    # Shards return canonical tables, merged on their rows in slice order.
+    spec = SearchSpec(order=5, mode="collect", isomorphs="up_to_iso")
+    fanned = cli._search_fanned(spec, 3, None, None)
+    in_process = search(SearchSpec(order=5, mode="collect", isomorphs="up_to_iso", shards=3))
+    assert [q.rows for q in fanned.found] == [q.rows for q in in_process.found]
+
+
 def test_search_first_writes_witness(tmp_path, capsys):
     code = cli.main([
         "search", "--order", "6", "--require", "cc", "--forbid", "assoc",

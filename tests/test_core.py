@@ -1,9 +1,15 @@
 """Table validation, loop operations, isotopes, isomorphism, io."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isomorphism_oracle as oracle
+from loop_strategies import loops
 from loopkit.core import (
     LoopTable,
+    canonical_key,
+    canonical_table,
     direct_product,
     dump_path,
     dumps,
@@ -21,6 +27,7 @@ from loopkit.errors import (
     OrderTooLarge,
     ParseError,
 )
+from loopkit.search import SearchSpec, search
 from loopkit.tables import chein_double, cyclic, dihedral
 
 
@@ -137,6 +144,74 @@ def test_isomorphic_distinguishes_groups(z6, s3):
 def test_isomorphic_rejects_order_mismatch(z4, z6):
     with pytest.raises(OrderMismatch):
         isomorphic(z4, z6)
+
+
+def _relabel(q, sigma):
+    """q with each x renamed sigma[x]; sigma fixes 0."""
+    n = q.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[sigma[x]][sigma[y]] = sigma[q.mul(x, y)]
+    return LoopTable(rows)
+
+
+def _is_isomorphism(phi, q1, q2):
+    return all(
+        phi(q1.mul(x, y)) == q2.mul(phi(x), phi(y)) for x in q1.elements() for y in q1.elements()
+    )
+
+
+def _same_partition(qs, key, oracle_key):
+    classes = {}
+    oracle_classes = {}
+    for i, q in enumerate(qs):
+        classes.setdefault(key(q), []).append(i)
+        oracle_classes.setdefault(oracle_key(q), []).append(i)
+    return sorted(classes.values()) == sorted(oracle_classes.values())
+
+
+def _agrees_with_oracle(q1, q2):
+    phi = isomorphic(q1, q2)
+    if phi is not None and not _is_isomorphism(phi, q1, q2):
+        return False
+    return (phi is not None) == (oracle.isomorphic(q1, q2) is not None)
+
+
+def test_walk_engine_matches_oracle_on_corpus5(corpus5):
+    by_order = {}
+    for _id, q in corpus5:
+        by_order.setdefault(q.order, []).append(q)
+    for qs in by_order.values():
+        assert _same_partition(qs, canonical_key, oracle.canonical_key)
+        for q in qs:
+            assert oracle.isomorphic(q, canonical_table(q)) is not None
+            for r in qs:
+                assert _agrees_with_oracle(q, r)
+
+
+def test_canonical_keys_match_oracle_on_every_order6_table():
+    qs = search(SearchSpec(order=6, mode="collect")).found
+    assert len(qs) == 9408
+    assert _same_partition(qs, canonical_key, oracle.canonical_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_engine_matches_oracle_on_random_loops(data):
+    q1 = data.draw(loops())
+    n = q1.order
+    q2 = data.draw(loops(order=n))
+    sigma = [0] + data.draw(st.permutations(range(1, n)))
+    relabeled = _relabel(q1, sigma)
+    assert canonical_key(relabeled) == canonical_key(q1)
+    assert (canonical_key(q1) == canonical_key(q2)) == (
+        oracle.canonical_key(q1) == oracle.canonical_key(q2)
+    )
+    assert oracle.isomorphic(q1, canonical_table(q1)) is not None
+    assert _agrees_with_oracle(q1, q2)
+    phi = isomorphic(q1, relabeled)
+    assert phi is not None and _is_isomorphism(phi, q1, relabeled)
 
 
 def test_dump_load_round_trip(tmp_path, m12):

@@ -1,9 +1,11 @@
 """Search engine: oracle agreement, pruning soundness, sharding,
 canonical forms, minimal orders."""
 
+import importlib
+
 import pytest
 
-from loopkit.core import isomorphic
+from loopkit.core import LoopTable, direct_product, isomorphic
 from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
 from loopkit.search import (
     PartialTable,
@@ -12,13 +14,14 @@ from loopkit.search import (
     canonical_table,
     count_reduced,
     count_up_to_isomorphism,
-    enumerate_reduced_naive,
     minimal_order,
     propagate_identity,
     search,
     shard,
 )
+from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import check_variety
+from search_oracle import enumerate_reduced_naive
 
 
 def tables(found):
@@ -32,6 +35,8 @@ def test_spec_validation():
         SearchSpec(order=4, mode="everything")
     with pytest.raises(InvalidSpec):
         SearchSpec(order=4, isomorphs="maybe")
+    with pytest.raises(InvalidSpec):
+        SearchSpec(order=4, isomorphs="all")
     with pytest.raises(InvalidSpec):
         SearchSpec(order=4, shards=0)
     with pytest.raises(UnknownVariety):
@@ -190,19 +195,33 @@ def test_budget_seconds_raises():
         search(SearchSpec(order=7, mode="count"), budget_seconds=0.05)
 
 
-def test_canonical_key_is_relabeling_invariant(z6, s3, cc6):
-    for q in (z6, s3, cc6):
+def test_canonical_key_is_relabeling_invariant(z6, s3, cc6, m12):
+    # Orders 12 and 16 are out of reach of a scan over all relabelings;
+    # Z2^4 has the most walks of any loop here.
+    z2sq = direct_product(cyclic(2), cyclic(2))
+    for q in (z6, s3, cc6, m12, dihedral(8), chein_double(dihedral(4)), cyclic(16),
+              direct_product(z2sq, z2sq)):
         n = q.order
         # Relabel by a fixed permutation keeping 0.
         sigma = [0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)]
         inv = [0] * n
         for i, s in enumerate(sigma):
             inv[s] = i
-        from loopkit.core import LoopTable
-
         relabeled = LoopTable([[sigma[q.mul(inv[i], inv[j])] for j in range(n)] for i in range(n)])
         assert canonical_key(q) == canonical_key(relabeled)
         assert canonical_table(q) == canonical_table(relabeled)
+
+
+def _no_scan(*args):
+    raise AssertionError("canonical forms must not scan relabelings")
+
+
+def test_canonical_forms_scan_no_relabelings(monkeypatch):
+    # The package rebinds the name loopkit.search to the search function.
+    search_module = importlib.import_module("loopkit.search")
+    monkeypatch.setattr(search_module, "permutations", _no_scan, raising=False)
+    assert len({canonical_key(q) for q in enumerate_reduced_naive(5)}) == 6
+    assert count_up_to_isomorphism(5) == 6
 
 
 def test_canonical_key_separates_classes():
