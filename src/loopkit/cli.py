@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 import time
@@ -104,25 +105,26 @@ def _run_shard(spec, budget_nodes, budget_seconds):
 def _search_fanned(spec, shards, budget_nodes, budget_seconds):
     """Run shards in worker processes and merge in slice order.
 
-    As in ``search``, a "first" run keeps only the first witness, here in
-    slice order, and is complete only when no slice found one.
+    The node budget is global: each shard gets an equal share, rounded
+    up, and when any shard runs out the run raises BudgetExceeded with the
+    nodes of all shards and the longest shard time.  As in ``search``, a
+    "first" run keeps only the first witness, here in slice order, and is
+    complete only when no slice found one.
     """
     slices = shard(spec, shards)
-    visited = 0
-    count = 0
-    found = []
-    elapsed = 0.0
+    share = None if budget_nodes is None else math.ceil(budget_nodes / shards)
     with concurrent.futures.ProcessPoolExecutor(max_workers=shards) as pool:
         outcomes = list(pool.map(_run_shard, slices,
-                                 [budget_nodes] * shards, [budget_seconds] * shards))
-    for outcome in outcomes:
-        if outcome[0] == "budget":
-            raise BudgetExceeded(visited + outcome[1], max(elapsed, outcome[2]))
-        _tag, shard_visited, shard_count, rows_list, shard_elapsed = outcome
-        visited += shard_visited
+                                 [share] * shards, [budget_seconds] * shards))
+    visited = sum(outcome[1] for outcome in outcomes)
+    elapsed = max(outcome[-1] for outcome in outcomes)
+    if any(outcome[0] == "budget" for outcome in outcomes):
+        raise BudgetExceeded(visited, elapsed)
+    count = 0
+    found = []
+    for _tag, _visited, shard_count, rows_list, _elapsed in outcomes:
         count += shard_count
         found.extend(rows_list)
-        elapsed = max(elapsed, shard_elapsed)
     if spec.isomorphs == "up_to_iso":
         # Shards return canonical tables, so a class found twice has equal rows.
         found = list(dict.fromkeys(found))

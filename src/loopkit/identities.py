@@ -14,11 +14,20 @@ evaluates one ground instance on a partial table of a given order and
 reports the first cell that blocks it.  The partial evaluator is what
 makes sound search pruning possible: an instance is only judged when
 every cell it reads is filled.
+
+``nontrivial_assignments`` gives the ground instances worth propagating
+in a search.  It drops every instance whose two sides become the same
+term once the loop laws (``e*t = t*e = e\\t = t/e = t``, ``t\\t = t/t = e``
+and the six cancellations such as ``t*(t\\u) = u``) are applied.  Each
+law holds on every Latin partial table with identity row and column
+whenever its left side is determined, so such an instance is never
+violated on the tables the search visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 VAR, CONST, MUL, LDIV, RDIV = range(5)
 _VARS = "xyzu"
@@ -39,6 +48,8 @@ class Program:
     # Generated functions: the full-table checker under None, the partial
     # evaluator for order n under n.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The result of nontrivial_assignments for order n under n.
+    nontrivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _parse(text, pos):
@@ -105,16 +116,93 @@ def partial_evaluator(prog, n):
 
     The evaluator is called as ``evaluate(cells, assign)``, where ``cells``
     is a row-major flat table with -1 for holes and ``assign`` holds one
-    value per variable.  It returns SAT, VIOLATED, or the first hole the
+    value per variable.  It returns SAT, VIOLATED, or the first hole c the
     evaluation needs: the cell of a product, or for a division that no
     filled cell resolves, the first hole of that row or column.  Filling
     cells only moves the blocking cell forward, which is what the search's
     watch scheme relies on.
+
+    A blocked instance is reported as c + n*n, the flag, when one value at
+    c cannot decide it: some later term that does not use the blocked
+    term's value needs a hole other than c.  The evaluator looks for such
+    a term among the later terms in order and gives up, reporting c, at
+    the first one that reads c itself or is a division left unresolved
+    whose row or column contains c.  On a Latin table no value put at c
+    then makes the instance VIOLATED, so value trials at c are futile.
+    Reduce a blocking result mod n*n to get the cell.
     """
     evaluate = prog.compiled.get(n)
     if evaluate is None:
         evaluate = prog.compiled[n] = _build(_partial_source(prog, n), "evaluate")
     return evaluate
+
+
+def nontrivial_assignments(prog, n):
+    """The assignments over order n whose instances the loop laws leave open.
+
+    An assignment is dropped when substituting it into the program and
+    folding with ``e*t = t*e = e\\t = t/e = t``, ``t\\t = t/t = e``,
+    ``t*(t\\u) = u``, ``(u/t)*t = u``, ``t\\(t*u) = u``, ``(u*t)/t = u``,
+    ``(t/u)\\t = u`` and ``t/(u\\t) = u`` makes both sides the same term.
+    On a Latin partial table with identity row and column each law holds
+    wherever its left side is determined, so a dropped instance is never
+    VIOLATED there; on other grids it can be.
+    """
+    kept = prog.nontrivial.get(n)
+    if kept is None:
+        kept = prog.nontrivial[n] = tuple(
+            assign for assign in product(range(n), repeat=prog.nvars)
+            if not _folds_to_tautology(prog, assign)
+        )
+    return kept
+
+
+def _fold(op, a, b):
+    """The term op(a, b) after one loop law, if one applies at the top.
+
+    Elements are ints (0 is e) and other terms are (op, a, b) tuples whose
+    operands are already folded.
+    """
+    if op == MUL:
+        if a == 0:  # e*t = t
+            return b
+        if b == 0:  # t*e = t
+            return a
+        if type(b) is tuple and b[0] == LDIV and b[1] == a:  # t*(t\u) = u
+            return b[2]
+        if type(a) is tuple and a[0] == RDIV and a[2] == b:  # (u/t)*t = u
+            return a[1]
+    elif op == LDIV:
+        if a == 0:  # e\t = t
+            return b
+        if a == b:  # t\t = e
+            return 0
+        if type(b) is tuple and b[0] == MUL and b[1] == a:  # t\(t*u) = u
+            return b[2]
+        if type(a) is tuple and a[0] == RDIV and a[1] == b:  # (t/u)\t = u
+            return a[2]
+    else:
+        if b == 0:  # t/e = t
+            return a
+        if a == b:  # t/t = e
+            return 0
+        if type(a) is tuple and a[0] == MUL and a[2] == b:  # (u*t)/t = u
+            return a[1]
+        if type(b) is tuple and b[0] == LDIV and b[2] == a:  # t/(u\t) = u
+            return b[1]
+    return (op, a, b)
+
+
+def _folds_to_tautology(prog, assign):
+    regs = []
+    for op, a, b in prog.ops:
+        if op == VAR:
+            regs.append(assign[a])
+        elif op == CONST:
+            regs.append(0)
+        else:
+            regs.append(_fold(op, regs[a], regs[b]))
+    return regs[prog.lhs] == regs[prog.rhs]
 
 
 def _build(source, name):
@@ -208,24 +296,52 @@ def _full_source(prog):
 
 
 def _partial_source(prog, n):
-    """Straight-line evaluation of one ground instance on order-n cells."""
+    """Straight-line evaluation of one ground instance on order-n cells.
+
+    Where a term blocks, the code goes on through the later terms that do
+    not use its value, to decide the flag described in partial_evaluator.
+    """
     terms, lhs, rhs = _terms(prog)
+    expr = [f"v{a}" if op == VAR else "0" if op == CONST else f"t{j}"
+            for j, (op, a, _b) in enumerate(terms)]
+
+    def blocked(j, hole):
+        """The lines run when term j blocks on the hole ``hole``."""
+        tail = []
+        uses = {j}
+        for k in range(j + 1, len(terms)):
+            op, a, b = terms[k]
+            if op in (VAR, CONST):
+                continue
+            if a in uses or b in uses:
+                uses.add(k)
+                continue
+            x, y, t = expr[a], expr[b], expr[k]
+            if op == MUL:
+                tail += [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
+                         f"    return c if i == c else c + {n * n}"]
+            elif op == LDIV:
+                tail += [f"s = {x} * {n}", f"r = cells[s:s + {n}]", f"if {y} not in r:",
+                         f"    return c if s <= c < s + {n} else c + {n * n}",
+                         f"{t} = r.index({y})"]
+            else:
+                tail += [f"r = cells[{y}::{n}]", f"if {x} not in r:",
+                         f"    return c if c % {n} == {y} else c + {n * n}",
+                         f"{t} = r.index({x})"]
+        if not tail:
+            return [f"    return {hole}"]
+        return ["    " + s for s in [f"c = {hole}", *tail, "return c"]]
+
     lines = ["def evaluate(cells, assign):"]
     if prog.nvars:
         lines.append("    " + "".join(f"v{k}, " for k in range(prog.nvars)) + "= assign")
-    expr = []
     for j, (op, a, b) in enumerate(terms):
-        if op == VAR:
-            expr.append(f"v{a}")
+        if op in (VAR, CONST):
             continue
-        if op == CONST:
-            expr.append("0")
-            continue
-        x, y, t = expr[a], expr[b], f"t{j}"
-        expr.append(t)
+        x, y, t = expr[a], expr[b], expr[j]
         if op == MUL:
-            cell = y if x == "0" else f"{x} * {n} + {y}"
-            body = [f"i = {cell}", f"{t} = cells[i]", f"if {t} < 0:", "    return i"]
+            body = [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
+                    *blocked(j, "i")]
         elif op == LDIV:
             # x\y is the column of the first y in row x.
             body = [
@@ -234,7 +350,7 @@ def _partial_source(prog, n):
                 f"if {y} in r:",
                 f"    {t} = r.index({y})",
                 "elif -1 in r:",
-                "    return s + r.index(-1)",
+                *blocked(j, "s + r.index(-1)"),
                 "else:",
                 f"    return {VIOLATED}",
             ]
@@ -245,10 +361,15 @@ def _partial_source(prog, n):
                 f"if {x} in r:",
                 f"    {t} = r.index({x})",
                 "elif -1 in r:",
-                f"    return r.index(-1) * {n} + {y}",
+                *blocked(j, f"r.index(-1) * {n} + {y}"),
                 "else:",
                 f"    return {VIOLATED}",
             ]
         lines.extend("    " + s for s in body)
     lines.append(f"    return {SAT} if {expr[lhs]} == {expr[rhs]} else {VIOLATED}")
     return "\n".join(lines) + "\n"
+
+
+def _cell(x, y, n):
+    """The index of cell (x, y); row 0 needs no multiplication."""
+    return y if x == "0" else f"{x} * {n} + {y}"

@@ -7,6 +7,16 @@ pruning through a watch scheme over ground identity instances; forbidden
 varieties and any non-equational requirements are leaf filters.  Every
 leaf is re-verified with the authoritative full checkers, so pruning is
 an optimization and never decides membership by itself.
+
+Every partial table the search visits is Latin, with identity row and
+column, and it only does work that can prune on such tables.  Each open
+instance is on the watch list of the one hole that blocks it, and a
+backtrack undoes the moves its node made, so the lists stay exact.
+Instances that the loop laws alone make true are dropped at set-up
+(``identities.nontrivial_assignments``): on a Latin table they are never
+violated.  When the partial evaluator flags a blocked instance, the
+instance needs another hole whatever value the blocking cell takes, so no
+value there is tried against it.  Neither changes which nodes are visited.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from itertools import product
 # canonical_key is imported for callers that take it from this module.
 from .core import LoopTable, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
-from .identities import SAT, VIOLATED, partial_evaluator
+from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator
 from .varieties import check_variety, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
@@ -170,12 +180,14 @@ def identity_status(pt, prog):
     n = pt.order
     evaluate = partial_evaluator(prog, n)
     first_undet = None
+    # Every assignment: the table need not be Latin, so the ones the
+    # search drops as loop-law tautologies may still be violated here.
     for assign in product(range(n), repeat=prog.nvars):
         cell = evaluate(pt.cells, assign)
         if cell == VIOLATED:
             return "violated", None
         if cell >= 0 and first_undet is None:
-            first_undet = cell
+            first_undet = cell % (n * n)
     if first_undet is not None:
         return "undetermined", first_undet
     return "satisfied", None
@@ -195,9 +207,6 @@ def _split_constraints(names):
         except ValueError:
             leaf_only.append(name)
     return progs, leaf_only
-
-
-_STATE_DONE = -2
 
 
 class _Stop(Exception):
@@ -310,22 +319,20 @@ def _search_one(
         row_free[r] ^= bit
         col_free[c] ^= bit
 
-    # Every ground instance of the programs, as (evaluator, assignment).
+    # The ground instances of the programs that are not loop-law
+    # tautologies, as (evaluator, assignment).  watch[cell] lists the open
+    # instances blocked on that cell, each instance in exactly one list.
     instances = []
     for prog in progs:
         evaluate = partial_evaluator(prog, n)
-        instances.extend((evaluate, assign) for assign in product(range(n), repeat=prog.nvars))
-    inst_state = [0] * len(instances)
+        instances.extend((evaluate, assign) for assign in nontrivial_assignments(prog, n))
     watch = [[] for _ in range(n2)]
     for i, (evaluate, assign) in enumerate(instances):
         cell = evaluate(cells, assign)
         if cell == VIOLATED:
             return visited
-        if cell == SAT:
-            inst_state[i] = _STATE_DONE
-        else:
-            inst_state[i] = cell
-            watch[cell].append(i)
+        if cell != SAT:
+            watch[cell % n2].append(i)
 
     counter = [visited]
 
@@ -392,22 +399,25 @@ def _search_one(
             col_free[c] ^= bit
             woken = watch[idx]
             watch[idx] = []
+            # The cells whose watch lists gained an instance at this node.
+            moved = []
             excl_trail = []
             ok = True
             for i in woken:
-                if inst_state[i] != idx:
-                    continue
                 evaluate, assign = instances[i]
                 cell = evaluate(cells, assign)
-                if cell == VIOLATED:
-                    ok = False
-                    break
-                if cell == SAT:
-                    inst_state[i] = _STATE_DONE
+                if cell < 0:
+                    if cell == VIOLATED:
+                        ok = False
+                        break
                     continue
-                inst_state[i] = cell
+                # A flagged instance cannot be decided by one value at the cell.
+                flagged = cell >= n2
+                if flagged:
+                    cell -= n2
                 watch[cell].append(i)
-                if prune_values:
+                moved.append(cell)
+                if prune_values and not flagged:
                     br, bc = divmod(cell, n)
                     cand = row_free[br] & col_free[bc] & ~excl[cell]
                     removed = 0
@@ -429,8 +439,8 @@ def _search_one(
                 dfs()
             for pos, old in reversed(excl_trail):
                 excl[pos] = old
-            for i in woken:
-                inst_state[i] = idx
+            for cell in moved:
+                watch[cell].pop()
             watch[idx] = woken
             cells[idx] = -1
             row_free[r] |= bit

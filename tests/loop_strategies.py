@@ -30,3 +30,25 @@ def loops(draw, order=None):
 
     assert fill(0)
     return LoopTable(rows)
+
+
+@st.composite
+def partial_latin_grids(draw, max_order=5):
+    """(n, cells): a flat order-n grid with identity row and column and a
+    random Latin partial filling of the rest, -1 for holes.  The grid need
+    not have any completion."""
+    n = draw(st.integers(1, max_order))
+    cells = [-1] * (n * n)
+    for j in range(n):
+        cells[j] = j
+        cells[j * n] = j
+    interior = [i * n + j for i in range(1, n) for j in range(1, n)]
+    for idx in draw(st.permutations(interior)):
+        if not draw(st.booleans()):
+            continue
+        r, c = divmod(idx, n)
+        used = set(cells[r * n:(r + 1) * n]) | set(cells[c::n])
+        allowed = [v for v in range(n) if v not in used]
+        if allowed:
+            cells[idx] = draw(st.sampled_from(allowed))
+    return n, cells

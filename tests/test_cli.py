@@ -1,5 +1,7 @@
 """Command line behavior and exit codes."""
 
+import re
+
 import pytest
 
 from loopkit import cli, structure, varieties
@@ -143,6 +145,15 @@ def test_search_unknown_variety(capsys):
 def test_search_budget_exceeded(capsys):
     assert cli.main(["search", "--order", "6", "--budget-nodes", "100"]) == 2
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_search_sharded_budget_is_global(capsys):
+    # Two shards of 70,000 nodes each would finish (they need 58,530 and
+    # 40,748); each gets 35,000 of the global budget and runs out.
+    assert cli.main(["search", "--order", "6", "--shards", "2", "--budget-nodes", "70000"]) == 2
+    err = capsys.readouterr().err
+    # The nodes of both shards are reported, not those of the first alone.
+    assert int(re.search(r"after (\d+) nodes", err).group(1)) >= 70000
 
 
 def test_search_sharded_collect(tmp_path, capsys):

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from identity_oracle import SAT as ORACLE_SAT
 from identity_oracle import UNDET, eval_partial, holds_at
+from identity_oracle import VIOLATED as ORACLE_VIOLATED
 from identity_oracle import check_identity as oracle_check_identity
-from loop_strategies import loops
+from loop_strategies import loops, partial_latin_grids
 from loopkit.identities import (
     SAT,
     VIOLATED,
     check_identity,
     compile_identity,
+    nontrivial_assignments,
     partial_evaluator,
 )
 from loopkit.tables import cyclic, dihedral
@@ -77,6 +79,11 @@ def _partial_from(rows, n):
     return cells
 
 
+def _cell_of(result, n):
+    """A partial evaluator's result with the flag cleared."""
+    return result % (n * n) if result >= 0 else result
+
+
 def _oracle_result(prog, cells, n, assign):
     """The oracle's answer in the compiled evaluator's encoding."""
     status, cell = eval_partial(prog, cells, n, assign)
@@ -90,7 +97,7 @@ def test_eval_partial_blocks_on_first_needed_hole():
     # Row 0 filled (identity), row 1 filled, row 2 empty.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
     # Needs (1*2) = cell 5 (known) and (2*1) = cell 7 (hole).
-    assert partial_evaluator(COMM, n)(cells, (1, 2)) == 2 * n + 1
+    assert _cell_of(partial_evaluator(COMM, n)(cells, (1, 2)), n) == 2 * n + 1
     assert _oracle_result(COMM, cells, n, (1, 2)) == 2 * n + 1
 
 
@@ -109,14 +116,14 @@ def test_eval_partial_division_scans():
     # Row 1 has no cell equal to 0 yet; 1\0 blocks on the first hole.
     cells = _partial_from([[0, 1, 2], [1, -1, -1]], n)
     ldiv_prog = compile_identity("(x\\e) = y")
-    assert partial_evaluator(ldiv_prog, n)(cells, (1, 0)) == 1 * n + 1
+    assert _cell_of(partial_evaluator(ldiv_prog, n)(cells, (1, 0)), n) == 1 * n + 1
     # Once the row is complete the division resolves.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
     assert partial_evaluator(ldiv_prog, n)(cells, (1, 2)) == SAT
     # Column 1 has no cell equal to 2 yet; 2/1 blocks on its first hole.
     cells = _partial_from([[0, 1, 2], [1, 0, 2], [2, -1, -1]], n)
     rdiv_prog = compile_identity("(x/y) = z")
-    assert partial_evaluator(rdiv_prog, n)(cells, (2, 1, 0)) == 2 * n + 1
+    assert _cell_of(partial_evaluator(rdiv_prog, n)(cells, (2, 1, 0)), n) == 2 * n + 1
 
 
 def test_eval_partial_division_violated_when_row_full():
@@ -135,6 +142,7 @@ def test_compiled_functions_are_cached_per_order():
     prog = compile_identity("((x*y)*z) = (x*(y*z))")
     assert partial_evaluator(prog, 4) is partial_evaluator(prog, 4)
     assert partial_evaluator(prog, 4) is not partial_evaluator(prog, 5)
+    assert nontrivial_assignments(prog, 4) is nontrivial_assignments(prog, 4)
     assert check_identity(cyclic(3), prog)
     checker = prog.compiled[None]
     assert check_identity(dihedral(3), prog)
@@ -168,4 +176,64 @@ def test_compiled_partial_evaluator_matches_oracle(data):
     prog = data.draw(st.sampled_from(PROGRAMS))
     evaluate = partial_evaluator(prog, n)
     for assign in product(range(n), repeat=prog.nvars):
-        assert evaluate(cells, assign) == _oracle_result(prog, cells, n, assign), prog.source
+        result = _cell_of(evaluate(cells, assign), n)
+        assert result == _oracle_result(prog, cells, n, assign), prog.source
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_latin_grids(), st.data())
+def test_flagged_instances_stay_undetermined(grid, data):
+    # The flag says no value at the blocking cell decides the instance:
+    # the oracle must find it undetermined whatever value the row and
+    # column of that cell still allow.
+    n, cells = grid
+    prog = data.draw(st.sampled_from(PROGRAMS))
+    evaluate = partial_evaluator(prog, n)
+    for assign in product(range(n), repeat=prog.nvars):
+        result = evaluate(cells, assign)
+        if result < n * n:
+            continue
+        cell = result - n * n
+        r, c = divmod(cell, n)
+        used = set(cells[r * n:(r + 1) * n]) | set(cells[c::n])
+        for v in set(range(n)) - used:
+            cells[cell] = v
+            status, _ = eval_partial(prog, cells, n, assign)
+            cells[cell] = -1
+            assert status == UNDET, (prog.source, assign, v)
+
+
+def _dropped(prog, n):
+    kept = set(nontrivial_assignments(prog, n))
+    return [a for a in product(range(n), repeat=prog.nvars) if a not in kept]
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_latin_grids(), st.data())
+def test_dropped_instances_are_never_violated(grid, data):
+    n, cells = grid
+    prog = data.draw(st.sampled_from(PROGRAMS))
+    for assign in _dropped(prog, n):
+        status, _ = eval_partial(prog, cells, n, assign)
+        assert status != ORACLE_VIOLATED, (prog.source, assign)
+
+
+def test_dropped_instances_hold_on_corpus5(corpus5):
+    for prog in PROGRAMS:
+        for n in range(1, 6):
+            dropped = _dropped(prog, n)
+            for _loop_id, q in corpus5:
+                if q.order == n:
+                    assert all(holds_at(q, prog, a) for a in dropped), prog.source
+
+
+def test_loop_laws_drop_tautologies():
+    # Each law on its own folds every instance to t = t.
+    for source in ("(e*x) = x", "(x*e) = x", "(e\\x) = x", "(x/e) = x", "(x\\x) = e",
+                   "(x/x) = e", "(x*(x\\y)) = y", "((y/x)*x) = y", "(x\\(x*y)) = y",
+                   "((y*x)/x) = y", "((x/y)\\x) = y", "(x/(y\\x)) = y"):
+        assert nontrivial_assignments(compile_identity(source), 3) == (), source
+    # Commutativity keeps only x != y, both not e; the left inverse
+    # property drops x = e and y = e, where it reads (e/x)*x = e.
+    assert nontrivial_assignments(COMM, 3) == ((1, 2), (2, 1))
+    assert nontrivial_assignments(LIP, 3) == ((1, 1), (1, 2), (2, 1), (2, 2))

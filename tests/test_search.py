@@ -7,6 +7,7 @@ import pytest
 
 from loopkit.core import LoopTable, direct_product, isomorphic
 from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
+from loopkit.identities import compile_identity, nontrivial_assignments
 from loopkit.search import (
     PartialTable,
     SearchSpec,
@@ -14,6 +15,7 @@ from loopkit.search import (
     canonical_table,
     count_reduced,
     count_up_to_isomorphism,
+    identity_status,
     minimal_order,
     propagate_identity,
     search,
@@ -140,17 +142,55 @@ def test_modes_are_consistent():
 @pytest.mark.parametrize(
     "order, required, forbidden, mode, count, visited",
     [
-        (6, ("osborn",), ("cc", "moufang"), "count", 0, 2552),
+        (6, ("osborn",), ("cc", "moufang"), "count", 0, 2595),
         (5, ("moufang",), (), "collect", 6, 93),
-        (6, ("buchsteiner",), (), "count", 120, 3161),
-        (6, ("cc",), ("associative",), "count", 40, 2880),
+        (6, ("buchsteiner",), (), "count", 120, 3355),
+        (6, ("cc",), ("associative",), "count", 40, 2963),
     ],
 )
 def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited):
     # Identity propagation and value pruning decide which nodes the search
-    # visits; a faster evaluator must not change them.
+    # visits; a faster evaluator must not change them.  These are the
+    # counts of exact watch lists.  The older lists kept stale entries
+    # whose state undo reset to the filled cell, so some value trials ran
+    # later, with more cells filled, and pruned more (2552, 93, 3161, 2880).
     res = search(SearchSpec(order=order, required=required, forbidden=forbidden, mode=mode))
     assert (res.count, res.visited) == (count, visited)
+
+
+def test_search_makes_no_futile_evaluator_calls(monkeypatch):
+    # Exact watch lists, no loop-law tautologies and no value trials that
+    # cannot prune: the order-6 proper-Osborn screen needs at most 700,000
+    # evaluator calls (575,856 now; 1,426,664 with stale watch entries,
+    # every instance and every trial).
+    search_module = importlib.import_module("loopkit.search")
+    real = search_module.partial_evaluator
+    calls = [0]
+
+    def counting(prog, n):
+        evaluate = real(prog, n)
+
+        def counted(cells, assign):
+            calls[0] += 1
+            return evaluate(cells, assign)
+
+        return counted
+
+    monkeypatch.setattr(search_module, "partial_evaluator", counting)
+    res = search(SearchSpec(6, ("osborn",), ("cc", "moufang"), mode="count"))
+    assert res.count == 0
+    assert 0 < calls[0] <= 700_000
+
+
+def test_identity_status_keeps_tautologies_on_non_latin_grids():
+    # The search drops every instance of x\x = e, which holds in any
+    # Latin table; identity_status judges tables that need not be Latin.
+    prog = compile_identity("(x\\x) = e")
+    assert nontrivial_assignments(prog, 3) == ()
+    pt = PartialTable(3)
+    pt.cells[3:6] = [2, 1, 0]
+    assert identity_status(pt, prog) == ("violated", None)
+    assert identity_status(PartialTable(3), prog) == ("satisfied", None)
 
 
 def test_shards_partition_the_space():
