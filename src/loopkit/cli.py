@@ -8,16 +8,14 @@ Exit codes: 0 success, 1 usage or input error, 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import math
 import os
 import sys
 import time
 
 from . import bk, structure, varieties
-from .core import LoopTable, canonical_key, dump_path, dumps, load_path, principal_isotope
+from .core import canonical_key, dump_path, dumps, load_path, principal_isotope
 from .errors import BudgetExceeded, LoopError, NotNormal
-from .search import SearchResult, SearchSpec, shard
+from .search import SearchSpec
 from .search import search as run_search
 
 EXIT_OK = 0
@@ -93,64 +91,14 @@ def cmd_check(args):
 # search
 
 
-def _run_shard(spec, budget_nodes, budget_seconds):
-    """Worker body for one shard; returns plain tuples for pickling."""
-    try:
-        res = run_search(spec, budget_nodes=budget_nodes, budget_seconds=budget_seconds)
-    except BudgetExceeded as exc:
-        return ("budget", exc.visited, exc.elapsed)
-    return ("ok", res.visited, res.count, [q.rows for q in res.found], res.elapsed)
-
-
-def _search_fanned(spec, shards, budget_nodes, budget_seconds):
-    """Run shards in worker processes and merge in slice order.
-
-    The node budget is global: each shard gets an equal share, rounded
-    up, and when any shard runs out the run raises BudgetExceeded with the
-    nodes of all shards and the longest shard time.  As in ``search``, a
-    "first" run keeps only the first witness, here in slice order, and is
-    complete only when no slice found one.
-    """
-    slices = shard(spec, shards)
-    share = None if budget_nodes is None else math.ceil(budget_nodes / shards)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=shards) as pool:
-        outcomes = list(pool.map(_run_shard, slices,
-                                 [share] * shards, [budget_seconds] * shards))
-    visited = sum(outcome[1] for outcome in outcomes)
-    elapsed = max(outcome[-1] for outcome in outcomes)
-    if any(outcome[0] == "budget" for outcome in outcomes):
-        raise BudgetExceeded(visited, elapsed)
-    count = 0
-    found = []
-    for _tag, _visited, shard_count, rows_list, _elapsed in outcomes:
-        count += shard_count
-        found.extend(rows_list)
-    if spec.isomorphs == "up_to_iso":
-        # Shards return canonical tables, so a class found twice has equal rows.
-        found = list(dict.fromkeys(found))
-        count = len(found)
-    found = [LoopTable(rows, check=False) for rows in found]
-    complete = spec.mode != "first" or count == 0
-    if not complete:
-        found, count = found[:1], 1
-    return SearchResult(spec.order, found, count, visited, elapsed, complete, spec.shard_slice)
-
-
 def cmd_search(args):
     required = _parse_names(args.require) if args.require else ()
     forbidden = _parse_names(args.forbid) if args.forbid else ()
     mode = {"count": "count", "count-iso": "count", "collect": "collect", "first": "first"}[args.mode]
     isomorphs = "up_to_iso" if args.mode == "count-iso" else "reduced"
     spec = SearchSpec(order=args.order, required=required, forbidden=forbidden,
-                      mode=mode, isomorphs=isomorphs)
-    if args.shards > 1:
-        if args.mode == "count-iso":
-            spec = SearchSpec(order=args.order, required=required, forbidden=forbidden,
-                              mode="collect", isomorphs="up_to_iso")
-        result = _search_fanned(spec, args.shards, args.budget_nodes, args.budget_seconds)
-    else:
-        result = run_search(spec, budget_nodes=args.budget_nodes,
-                                  budget_seconds=args.budget_seconds)
+                      mode=mode, isomorphs=isomorphs, shards=args.shards)
+    result = run_search(spec, budget_nodes=args.budget_nodes, budget_seconds=args.budget_seconds)
     if args.mode in ("collect", "first"):
         for i, q in enumerate(result.found):
             path = os.path.join(args.out, f"order{args.order}-{i}.loop")

@@ -21,9 +21,10 @@ value there is tried against it.  Neither changes which nodes are visited.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 # canonical_key is imported for callers that take it from this module.
 from .core import LoopTable, canonical_key, canonical_table
@@ -33,7 +34,6 @@ from .varieties import check_variety, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
 _ISOMORPHS = ("reduced", "up_to_iso")
-_CELL_ORDERS = ("mrv", "row_major")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class SearchSpec:
     "first" stops at the first.  ``isomorphs``: "reduced" emits one table
     per reduced form, "up_to_iso" emits the canonical table of each
     isomorphism class once.
-    ``shards`` > 1 splits the run into that many independent slices and
-    merges them; ``shard_slice=(i, k)`` restricts to slice i of k.
+    ``shards`` > 1 runs the slices of ``shard(spec, shards)`` in worker
+    processes and merges them in slice order; ``shard_slice=(i, k)``
+    restricts the run to slice i of k.  The two exclude each other.
     """
 
     order: int
@@ -53,7 +54,6 @@ class SearchSpec:
     forbidden: tuple = ()
     mode: str = "collect"
     isomorphs: str = "reduced"
-    cell_order: str = "mrv"
     shards: int = 1
     shard_slice: tuple = ()
 
@@ -64,14 +64,14 @@ class SearchSpec:
             raise InvalidSpec(f"unknown mode {self.mode!r}")
         if self.isomorphs not in _ISOMORPHS:
             raise InvalidSpec(f"unknown isomorph handling {self.isomorphs!r}")
-        if self.cell_order not in _CELL_ORDERS:
-            raise InvalidSpec(f"unknown cell order {self.cell_order!r}")
         if self.shards < 1:
             raise InvalidSpec("shards must be at least 1")
         if self.shard_slice:
             i, k = self.shard_slice
             if k < 1 or not 0 <= i < k:
                 raise InvalidSpec(f"bad shard slice {self.shard_slice!r}")
+            if self.shards > 1:
+                raise InvalidSpec("a shard slice cannot be split into shards again")
         overlap = set(self.required) & set(self.forbidden)
         if overlap:
             raise InvalidSpec(f"required and forbidden overlap: {sorted(overlap)}")
@@ -85,8 +85,6 @@ def shard(spec, k):
         raise InvalidSpec("shard count must be at least 1")
     if spec.shard_slice:
         raise InvalidSpec("spec is already a shard slice")
-    from dataclasses import replace
-
     return [replace(spec, shards=1, shard_slice=(i, k)) for i in range(k)]
 
 
@@ -105,92 +103,6 @@ class SearchResult:
             f"order={self.order} visited={self.visited} "
             f"found={self.count} elapsed={self.elapsed:.3f}"
         )
-
-
-class PartialTable:
-    """A partially filled table: flat row-major cells with -1 holes.
-
-    Row 0 and column 0 are pre-filled from the identity.  This is the
-    public face of the engine's internal state, mainly for testing the
-    pruning logic against brute force.
-    """
-
-    __slots__ = ("order", "cells")
-
-    def __init__(self, order, cells=None):
-        n = order
-        if cells is None:
-            cells = [-1] * (n * n)
-            for j in range(n):
-                cells[j] = j
-                cells[j * n] = j
-        if len(cells) != n * n:
-            raise InvalidSpec("cell buffer does not match order")
-        self.order = n
-        self.cells = list(cells)
-
-    def set(self, row, col, value):
-        self.cells[row * self.order + col] = value
-
-    def completions(self):
-        """Brute-force generator of all Latin completions (small orders)."""
-        n = self.order
-        cells = self.cells
-        full = (1 << n) - 1
-        rowf = [full] * n
-        colf = [full] * n
-        for i in range(n):
-            for j in range(n):
-                v = cells[i * n + j]
-                if v >= 0:
-                    rowf[i] &= ~(1 << v)
-                    colf[j] &= ~(1 << v)
-        holes = [i for i, v in enumerate(cells) if v < 0]
-        out = list(cells)
-
-        def rec(k):
-            if k == len(holes):
-                yield [out[i * n : (i + 1) * n] for i in range(n)]
-                return
-            idx = holes[k]
-            r, c = divmod(idx, n)
-            mask = rowf[r] & colf[c]
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                v = bit.bit_length() - 1
-                out[idx] = v
-                rowf[r] ^= bit
-                colf[c] ^= bit
-                yield from rec(k + 1)
-                rowf[r] |= bit
-                colf[c] |= bit
-            out[idx] = -1
-
-        yield from rec(0)
-
-
-def identity_status(pt, prog):
-    """Aggregate status of an identity over a partial table.
-
-    Returns ("violated", cell_or_none), ("undetermined", blocking_cell)
-    or ("satisfied", None).  "violated" means no completion can satisfy
-    the identity; "satisfied" means every completion does.
-    """
-    n = pt.order
-    evaluate = partial_evaluator(prog, n)
-    first_undet = None
-    # Every assignment: the table need not be Latin, so the ones the
-    # search drops as loop-law tautologies may still be violated here.
-    for assign in product(range(n), repeat=prog.nvars):
-        cell = evaluate(pt.cells, assign)
-        if cell == VIOLATED:
-            return "violated", None
-        if cell >= 0 and first_undet is None:
-            first_undet = cell % (n * n)
-    if first_undet is not None:
-        return "undetermined", first_undet
-    return "satisfied", None
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +125,70 @@ class _Stop(Exception):
     pass
 
 
-def search(spec, budget_nodes=None, budget_seconds=None, prune_values=True):
+def search(spec, budget_nodes=None, budget_seconds=None):
     """Run the search described by ``spec``.
 
-    ``prune_values`` additionally tests candidate values of a blocking
-    cell against the instance watching it, excluding values that
-    immediately violate it; it is an optimization with no effect on the
-    result set.  Raises BudgetExceeded when a budget runs out.
+    With ``spec.shards`` = k > 1 the slices of ``shard(spec, k)`` run in a
+    pool of at most one worker process per CPU and merge in slice order:
+    visited counts add up, "up_to_iso" keeps each class at its first
+    appearance, and "first" keeps the first witness and is complete only
+    when no slice found one.  Each slice gets ceil(budget_nodes / k)
+    nodes.  ``budget_seconds`` and ``elapsed`` are measured from this
+    call, whether or not the work waits for a worker.  Raises
+    BudgetExceeded, with the nodes of every slice, when a budget runs out.
     """
+    start = time.monotonic()
+    if spec.shards > 1:
+        return _search_pooled(spec, budget_nodes, budget_seconds, start)
+    return _search_slice(spec, budget_nodes, budget_seconds, start)
+
+
+def _search_pooled(spec, budget_nodes, budget_seconds, start):
+    # Imported here: at module level the pool's modules about double the
+    # time of ``import loopkit``.
+    from concurrent.futures import ProcessPoolExecutor
+
+    k = spec.shards
+    share = None if budget_nodes is None else -(-budget_nodes // k)
+    with ProcessPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
+        counts, slice_rows, visits = zip(*pool.map(
+            _slice_worker, shard(spec, k), repeat(share), repeat(budget_seconds), repeat(start)))
+    visited = sum(visits)
+    if None in counts:
+        raise BudgetExceeded(visited, time.monotonic() - start)
+    rows = [r for part in slice_rows for r in part]
+    if spec.isomorphs == "up_to_iso":
+        # Slices return canonical tables, so a class found twice has equal rows.
+        rows = list(dict.fromkeys(rows))
+        count = len(rows)
+    else:
+        count = sum(counts)
+    complete = spec.mode != "first" or count == 0
+    if not complete:
+        rows, count = rows[:1], 1
+    found = [LoopTable(r, check=False) for r in rows] if spec.mode != "count" else []
+    return SearchResult(spec.order, found, count, visited, time.monotonic() - start, complete)
+
+
+def _slice_worker(spec, budget_nodes, budget_seconds, start):
+    """One slice in a worker process, as (count, rows, visited) for
+    pickling; count is None when a budget ran out.
+
+    An "up_to_iso" count runs as a collect, so the parent can merge
+    classes found in more than one slice.  ``start`` is the parent's
+    monotonic clock reading, the same system-wide clock in every process.
+    """
+    if spec.isomorphs == "up_to_iso" and spec.mode == "count":
+        spec = replace(spec, mode="collect")
+    try:
+        res = _search_slice(spec, budget_nodes, budget_seconds, start)
+    except BudgetExceeded as exc:
+        return None, [], exc.visited
+    return res.count, [q.rows for q in res.found], res.visited
+
+
+def _search_slice(spec, budget_nodes, budget_seconds, start):
+    """The search of ``spec`` in this process, with ``spec.shards`` == 1."""
     n = spec.order
     required = tuple(spec.required)
     forbidden = tuple(spec.forbidden)
@@ -229,28 +197,20 @@ def search(spec, budget_nodes=None, budget_seconds=None, prune_values=True):
     keep = spec.mode != "count"
     found_limit = 1 if spec.mode == "first" else None
 
-    start = time.monotonic()
     found = []
     seen_canonical = set()
     counts = [0]
     visited = 0
 
     preseeds = [()]
-    slices = [spec.shard_slice] if spec.shard_slice else None
-    if slices is None and spec.shards > 1:
-        slices = [(i, spec.shards) for i in range(spec.shards)]
-    if slices:
-        preseeds = []
-        for index, count in slices:
-            if count > 1:
-                prefixes, _length = _row1_prefixes(n, count)
-                preseeds.extend(
-                    [(n + 1 + j, v) for j, v in enumerate(p)]
-                    for i, p in enumerate(prefixes)
-                    if i % count == index
-                )
-            else:
-                preseeds.append(())
+    if spec.shard_slice and spec.shard_slice[1] > 1:
+        index, count = spec.shard_slice
+        prefixes, _length = _row1_prefixes(n, count)
+        preseeds = [
+            [(n + 1 + j, v) for j, v in enumerate(p)]
+            for i, p in enumerate(prefixes)
+            if i % count == index
+        ]
 
     for preseed in preseeds:
         visited = _search_one(
@@ -269,8 +229,6 @@ def search(spec, budget_nodes=None, budget_seconds=None, prune_values=True):
             budget_nodes,
             budget_seconds,
             found_limit,
-            prune_values,
-            spec.cell_order == "mrv",
         )
         if found_limit is not None and counts[0] >= found_limit:
             break
@@ -296,8 +254,6 @@ def _search_one(
     budget_nodes,
     budget_seconds,
     found_limit,
-    prune_values,
-    mrv=True,
 ):
     n2 = n * n
     cells = [-1] * n2
@@ -368,16 +324,12 @@ def _search_one(
             cnt = mask.bit_count()
             if cnt == 0:
                 return
-            if mrv:
-                if cnt < best_count:
-                    best = idx
-                    best_mask = mask
-                    best_count = cnt
-                    if cnt == 1:
-                        break
-            elif best < 0:
+            if cnt < best_count:
                 best = idx
                 best_mask = mask
+                best_count = cnt
+                if cnt == 1:
+                    break
         if best < 0:
             leaf()
             return
@@ -417,7 +369,7 @@ def _search_one(
                     cell -= n2
                 watch[cell].append(i)
                 moved.append(cell)
-                if prune_values and not flagged:
+                if not flagged:
                     br, bc = divmod(cell, n)
                     cand = row_free[br] & col_free[bc] & ~excl[cell]
                     removed = 0
@@ -509,24 +461,3 @@ def minimal_order(required, forbidden=(), max_order=12, **kwargs):
         if res.count:
             return n, res.found[0]
     return None
-
-
-def propagate_identity(partial, name):
-    """Judge a partial table against one catalog identity.
-
-    Returns "contradiction" when some fully determined ground instance
-    fails (no completion can satisfy the identity), else "consistent".
-    Only fully determined instances are judged, so a completable table
-    is never rejected.  Entries with no equational content are always
-    consistent.
-    """
-    get_entry(name)
-    try:
-        progs = propagation_programs(name)
-    except ValueError:
-        return "consistent"
-    for prog in progs:
-        status, _cell = identity_status(partial, prog)
-        if status == "violated":
-            return "contradiction"
-    return "consistent"

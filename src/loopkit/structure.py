@@ -1,12 +1,6 @@
 """Subloops, nuclei, center, normality, quotients, nilpotency.
 
-Nuclei are computed by the O(n^3) definition scan.  The independent route
-through fixed points of inner mappings is exposed separately so the two
-paths can be compared: under this package's composition convention the
-fixed points of the L-family generators are the *right* nucleus and the
-fixed points of the R-family generators are the *left* nucleus (verified
-exhaustively on every loop table of order <= 6), while the commutators
-[L(x), R(y)] fix exactly the middle nucleus.
+Nuclei are computed by the O(n^3) definition scan.
 
 Normality is decided by the standard generators of Inn Q alone, read off
 the tables.  That is exact for finite loops: a generator that maps a
@@ -15,7 +9,6 @@ finite subloop into itself maps it onto itself.
 
 from __future__ import annotations
 
-from . import perms
 from .core import LoopTable
 from .errors import IllDefined, NotASubloop, NotNormal
 
@@ -115,22 +108,6 @@ def center(q):
     n = q.order
     out = [a for a in nuc.members() if all(q.mul(a, x) == q.mul(x, a) for x in range(n))]
     return SubloopSet.from_members(n, out)
-
-
-def nuclei_from_inner_mappings(q):
-    """(left, middle, right) nuclei via fixed points of inner mappings.
-
-    Independent of the definition scans: left comes from the R-family
-    generators, right from the L-family, middle from the commutators.
-    """
-    n = q.order
-    ll = (q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y) for x in range(n) for y in range(n))
-    rr = (q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y) for x in range(n) for y in range(n))
-    mid = (perms.commutator_LR(q, y, x) for y in range(n) for x in range(n))
-    left = SubloopSet.from_members(n, perms.fixed_points(rr))
-    right = SubloopSet.from_members(n, perms.fixed_points(ll))
-    middle = SubloopSet.from_members(n, perms.fixed_points(mid))
-    return left, middle, right
 
 
 def subloop_generated(q, seed):

@@ -1,0 +1,29 @@
+"""The nuclei through fixed points of inner mappings, kept as the
+reference that the definition scans in ``loopkit.structure`` are tested
+against.
+
+Under this package's composition convention the fixed points of the
+L-family generators are the *right* nucleus and the fixed points of the
+R-family generators are the *left* nucleus (verified exhaustively on every
+loop table of order <= 6), while the commutators [L(x), R(y)] fix exactly
+the middle nucleus.
+"""
+
+from loopkit import perms
+from loopkit.structure import SubloopSet
+
+
+def nuclei_from_inner_mappings(q):
+    """(left, middle, right) nuclei via fixed points of inner mappings.
+
+    Independent of the definition scans: left comes from the R-family
+    generators, right from the L-family, middle from the commutators.
+    """
+    n = q.order
+    ll = (q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y) for x in range(n) for y in range(n))
+    rr = (q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y) for x in range(n) for y in range(n))
+    mid = (perms.commutator_LR(q, y, x) for y in range(n) for x in range(n))
+    left = SubloopSet.from_members(n, perms.fixed_points(rr))
+    right = SubloopSet.from_members(n, perms.fixed_points(ll))
+    middle = SubloopSet.from_members(n, perms.fixed_points(mid))
+    return left, middle, right

