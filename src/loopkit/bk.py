@@ -150,11 +150,6 @@ def standard_inner(params, kind, x, y, s):
     raise ValueError(f"unknown standard inner kind {kind!r}")
 
 
-def in_subloop(e):
-    """Membership in S = {first coordinate 0}."""
-    return e.a == 0
-
-
 # ---------------------------------------------------------------------------
 # witness
 

@@ -89,10 +89,6 @@ class LoopTable:
         """Right translation y -> y*x as a permutation."""
         return Perm(tuple(self.rows[y][x] for y in range(self.order)))
 
-    def T(self, x):
-        """The conjugation-like map R(x)^-1 * L(x)."""
-        return self.R(x).inverse() * self.L(x)
-
     def elements(self):
         return range(self.order)
 

@@ -37,14 +37,6 @@ class DegreeMismatch(LoopError):
     """Permutations of different degrees were combined."""
 
 
-class Capped(LoopError):
-    """Closure grew past the configured element cap."""
-
-    def __init__(self, count):
-        self.count = count
-        super().__init__(f"closure exceeded cap after {count} elements")
-
-
 class NotASubloop(LoopError):
     """Subset is not closed under the loop operations."""
 
@@ -59,10 +51,6 @@ class IllDefined(LoopError):
 
 class UnknownVariety(LoopError):
     """Variety id is not in the catalog."""
-
-
-class NotAutotopism(LoopError):
-    """Triple of permutations fails the autotopism condition."""
 
 
 class Inconsistent(LoopError):

@@ -4,16 +4,17 @@ Composition convention, fixed once for the whole package:
 
     (p * q)(x) == p(q(x))
 
-i.e. the right factor acts first.  Commutators follow the convention
+i.e. the right factor acts first.  A group is held as a stabilizer chain
+and lists its elements only when asked.  Commutators follow the convention
 ``[a, b] = a.inverse() * b.inverse() * a * b``; a calibration test pins
 this against the translation identities satisfied by the corpus.
 """
 
 from __future__ import annotations
 
-from .errors import Capped, DegreeMismatch
+from math import prod
 
-DEFAULT_CAP = 1 << 20
+from .errors import DegreeMismatch
 
 
 class Perm:
@@ -38,8 +39,7 @@ class Perm:
     def __mul__(self, other):
         if len(self.images) != len(other.images):
             raise DegreeMismatch(f"{len(self.images)} != {len(other.images)}")
-        mine = self.images
-        return Perm(tuple(mine[v] for v in other.images))
+        return Perm(map(self.images.__getitem__, other.images))
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -56,7 +56,7 @@ class Perm:
         return out
 
     def is_identity(self):
-        return all(i == v for i, v in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its least element."""
@@ -91,84 +91,145 @@ class Perm:
         return hash(self.images)
 
 
+def _sift(chain, k, h):
+    """(residue, j): h times, at each level from k on, the transversal
+    element that makes it fix that level's base point.  j is the first level
+    with no such element, else len(chain)."""
+    for j in range(k, len(chain)):
+        base, _gens, transversal = chain[j]
+        t = transversal.get(h.images.index(base))
+        if t is None:
+            return h, j
+        h = h * t
+    return h, len(chain)
+
+
+def _chain(generators):
+    """The stabilizer chain of the group generated, by deterministic
+    Schreier-Sims (Sims, 1970; Seress, *Permutation Group Algorithms*, 2003).
+
+    Each level's pending (orbit point, generator) pairs either grow its
+    orbit or give a Schreier generator; a residue that is not the identity
+    becomes a strong generator of each level it reached.  The deepest
+    level with pending pairs goes first, so every sift is exact.
+    """
+    chain, todo = [], []
+
+    def add(g, first, last):
+        """Make g a strong generator of levels first..last; last may be new."""
+        if last == len(chain):
+            base = next(x for x, v in enumerate(g.images) if x != v)
+            chain.append((base, [], {base: Perm.identity(g.degree)}))
+            todo.append([])
+        for k in range(first, last + 1):
+            chain[k][1].append(g)
+            todo[k].extend((y, g) for y in chain[k][2])
+
+    for g in generators:
+        h, i = _sift(chain, 0, g)
+        if i == len(chain) and h.is_identity():
+            continue
+        add(h, 0, i)
+        while i >= 0:
+            _base, gens, transversal = chain[i]
+            if not todo[i]:
+                i -= 1
+                continue
+            y, s = todo[i].pop()
+            z, u = s(y), s * transversal[y]
+            if z not in transversal:
+                transversal[z] = u
+                todo[i].extend((z, t) for t in gens)
+                continue
+            h, j = _sift(chain, i + 1, u.inverse() * transversal[z])
+            if j < len(chain) or not h.is_identity():
+                add(h, i + 1, j)
+                i = j
+    return chain
+
+
 class PermGroup:
-    """A fully materialized permutation group."""
+    """A permutation group held as a stabilizer chain.
 
-    __slots__ = ("degree", "generators", "elements", "_sorted")
+    Level k of ``chain`` is (base point, strong generators fixing the base
+    points above it, transversal).  The transversal maps each point y of
+    the base point's orbit to an element taking the base point to y.  The
+    order is the product of the orbit sizes and membership is a sift.
+    """
 
-    def __init__(self, degree, generators, elements):
+    __slots__ = ("degree", "generators", "chain", "_elements")
+
+    def __init__(self, degree, generators, chain):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = frozenset(elements)
-        self._sorted = None
+        self.chain = chain
+        self._elements = None
+
+    @property
+    def order(self):
+        return prod(len(transversal) for _base, _gens, transversal in self.chain)
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def __contains__(self, p):
-        return p in self.elements
+        if p.degree != self.degree:
+            return False
+        h, j = _sift(self.chain, 0, p)
+        return j == len(self.chain) and h.is_identity()
 
-    def __iter__(self):
-        """Deterministic iteration order (sorted by image tuple)."""
-        if self._sorted is None:
-            self._sorted = sorted(self.elements, key=lambda p: p.images)
-        return iter(self._sorted)
+    @property
+    def elements(self):
+        """Every element, listed from the chain on first read."""
+        if self._elements is None:
+            els = [Perm.identity(self.degree)]
+            for _base, _gens, transversal in reversed(self.chain):
+                els = [t * g for t in transversal.values() for g in els]
+            self._elements = frozenset(els)
+        return self._elements
 
     def __eq__(self, other):
-        return isinstance(other, PermGroup) and self.elements == other.elements
+        return (isinstance(other, PermGroup) and self.order == other.order
+                and all(g in other for g in self.generators)
+                and all(g in self for g in other.generators))
 
     def __repr__(self):
-        return f"PermGroup(degree={self.degree}, order={len(self.elements)})"
+        return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def closure(generators, cap=DEFAULT_CAP):
-    """Breadth-first closure of a generator set under composition.
-
-    Raises Capped if the element count passes ``cap``.  The result does not
-    depend on generator order.
-    """
-    gens = [g for g in generators]
+def closure(generators):
+    """The group generated by ``generators``, which fix its degree.  Every
+    group of this module comes from here."""
+    gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator to fix the degree")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatch(f"{g.degree} != {degree}")
-    els = {Perm.identity(degree)}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q not in els:
-                    els.add(q)
-                    new.append(q)
-                    if len(els) > cap:
-                        raise Capped(len(els))
-        frontier = new
-    return PermGroup(degree, gens, els)
+    degrees = {g.degree for g in gens}
+    if len(degrees) > 1:
+        raise DegreeMismatch(f"generators of degrees {sorted(degrees)}")
+    return PermGroup(gens[0].degree, gens, _chain(gens))
 
 
-def mlt(q, cap=DEFAULT_CAP):
+def mlt(q):
     """Multiplication group: closure of all left and right translations."""
-    gens = [q.L(x) for x in range(q.order)] + [q.R(x) for x in range(q.order)]
-    return closure(gens, cap=cap)
+    return closure([q.L(x) for x in range(q.order)] + [q.R(x) for x in range(q.order)])
 
 
-def mlt_left(q, cap=DEFAULT_CAP):
-    return closure([q.L(x) for x in range(q.order)], cap=cap)
+def mlt_left(q):
+    return closure([q.L(x) for x in range(q.order)])
 
 
-def mlt_right(q, cap=DEFAULT_CAP):
-    return closure([q.R(x) for x in range(q.order)], cap=cap)
+def mlt_right(q):
+    return closure([q.R(x) for x in range(q.order)])
 
 
-def inn(q, cap=DEFAULT_CAP):
-    """Inner mapping group: the stabilizer of 0 inside the full mlt."""
-    big = mlt(q, cap=cap)
-    stab = [p for p in big if p.images[0] == 0]
-    return PermGroup(q.order, tuple(sorted(stab, key=lambda p: p.images)), stab)
+def inn(q):
+    """Inner mapping group: the stabilizer of 0 in Mlt, level 1 of its chain.
+
+    0 is the chain's first base point: L(0) is the identity, so the first
+    generator added is L(1), and L(1) moves 0.
+    """
+    chain = mlt(q).chain[1:]
+    return PermGroup(q.order, chain[0][1] if chain else (), chain)
 
 
 def standard_generators(q):
@@ -178,65 +239,29 @@ def standard_generators(q):
     "TR": LL is L(x*y)^-1 L(x) L(y), RR is R(y*x)^-1 R(x) R(y), and TR is
     L(x)^-1 R(x) (tagged with y == 0).
     """
-    out = []
-    n = q.order
-    for x in range(n):
-        for y in range(n):
-            lxy = q.L(q.mul(x, y)).inverse()
-            out.append((("LL", x, y), lxy * q.L(x) * q.L(y)))
-    for x in range(n):
-        for y in range(n):
-            ryx = q.R(q.mul(y, x)).inverse()
-            out.append((("RR", x, y), ryx * q.R(x) * q.R(y)))
-    for x in range(n):
-        out.append((("TR", x, 0), q.L(x).inverse() * q.R(x)))
-    return out
+    L, R, n = q.L, q.R, q.order
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    return (
+        [(("LL", x, y), L(q.mul(x, y)).inverse() * L(x) * L(y)) for x, y in pairs]
+        + [(("RR", x, y), R(q.mul(y, x)).inverse() * R(x) * R(y)) for x, y in pairs]
+        + [(("TR", x, 0), L(x).inverse() * R(x)) for x in range(n)]
+    )
 
 
-def inn_left(q, cap=DEFAULT_CAP):
+def inn_left(q):
     """Closure of the maps L(x*y)^-1 L(x) L(y)."""
-    gens = []
-    for x in range(q.order):
-        for y in range(q.order):
-            gens.append(q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y))
-    return closure(gens, cap=cap)
+    return closure(p for (kind, _x, _y), p in standard_generators(q) if kind == "LL")
 
 
-def inn_right(q, cap=DEFAULT_CAP):
+def inn_right(q):
     """Closure of the maps R(y*x)^-1 R(x) R(y)."""
-    gens = []
-    for x in range(q.order):
-        for y in range(q.order):
-            gens.append(q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y))
-    return closure(gens, cap=cap)
+    return closure(p for (kind, _x, _y), p in standard_generators(q) if kind == "RR")
 
 
 def is_normal_subgroup(h, g):
-    """Whether h is normal in g.
-
-    Conjugates generators of h by generators of g; sufficient because h is
-    materialized, so its element set is the closure of its generators.
-    """
-    for gen in g.generators:
-        gi = gen.inverse()
-        for hg in h.generators:
-            if gen * hg * gi not in h.elements:
-                return False
-    return True
-
-
-def fixed_points(perms):
-    """Ids fixed by every permutation in the iterable."""
-    perms = list(perms)
-    if not perms:
-        return frozenset()
-    n = perms[0].degree
-    out = set(range(n))
-    for p in perms:
-        out = {x for x in out if p.images[x] == x}
-        if not out:
-            break
-    return frozenset(out)
+    """Whether h is normal in g: every generator of h conjugated by every
+    generator of g sifts into h."""
+    return all(x * y * x.inverse() in h for x in g.generators for y in h.generators)
 
 
 def commutator_LR(q, y, x):

@@ -25,6 +25,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from itertools import repeat
+from math import inf
 
 # canonical_key is imported for callers that take it from this module.
 from .core import LoopTable, canonical_key, canonical_table
@@ -290,7 +291,11 @@ def _search_one(
         if cell != SAT:
             watch[cell % n2].append(i)
 
-    counter = [visited]
+    # The seconds budget is read every 1,024 nodes, the node budget at its
+    # exact count.
+    nodes = visited
+    node_limit = inf if budget_nodes is None else budget_nodes + 1
+    check_at = min((nodes | 1023) + 1, node_limit)
 
     def leaf():
         rows = [cells[i * n : (i + 1) * n] for i in range(n)]
@@ -313,6 +318,7 @@ def _search_one(
             raise _Stop
 
     def dfs():
+        nonlocal nodes, check_at
         best = -1
         best_mask = 0
         best_count = n + 1
@@ -340,12 +346,13 @@ def _search_one(
             bit = mask & -mask
             mask ^= bit
             v = bit.bit_length() - 1
-            counter[0] += 1
-            if counter[0] & 1023 == 0:
-                if budget_nodes is not None and counter[0] > budget_nodes:
-                    raise BudgetExceeded(counter[0], time.monotonic() - start)
+            nodes += 1
+            if nodes >= check_at:
+                if nodes >= node_limit:
+                    raise BudgetExceeded(nodes, time.monotonic() - start)
                 if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-                    raise BudgetExceeded(counter[0], time.monotonic() - start)
+                    raise BudgetExceeded(nodes, time.monotonic() - start)
+                check_at = min((nodes | 1023) + 1, node_limit)
             cells[idx] = v
             row_free[r] ^= bit
             col_free[c] ^= bit
@@ -402,7 +409,7 @@ def _search_one(
         dfs()
     except _Stop:
         pass
-    return counter[0]
+    return nodes
 
 
 def _row1_prefixes(n, k):

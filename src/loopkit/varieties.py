@@ -12,28 +12,13 @@ from dataclasses import dataclass, field
 
 from . import perms, structure
 from .core import LoopTable, isomorphic, opposite, principal_isotope
-from .errors import IllDefined, NotAutotopism, NotNormal, UnknownVariety
+from .errors import IllDefined, NotNormal, UnknownVariety
 from .identities import check_identity, compile_identity
 from .perms import Perm
 
 
 # ---------------------------------------------------------------------------
 # autotopisms
-
-
-@dataclass(frozen=True)
-class Autotopism:
-    """A verified autotopism triple: alpha(x) * beta(y) == gamma(x*y)."""
-
-    alpha: Perm
-    beta: Perm
-    gamma: Perm
-
-    @classmethod
-    def checked(cls, q, alpha, beta, gamma):
-        if not is_autotopism(q, alpha, beta, gamma):
-            raise NotAutotopism("triple fails the autotopism condition")
-        return cls(alpha, beta, gamma)
 
 
 def is_autotopism(q, alpha, beta, gamma):
@@ -68,16 +53,6 @@ def nuclear_triple(q, a, kind):
 def nucleus_membership_from_autotopism(q, a, kind):
     """Nucleus membership via the autotopism route (independent of scans)."""
     return is_autotopism(q, *nuclear_triple(q, a, kind))
-
-
-def osborn_triple(q, x):
-    """(L(xl)^-1, R(x), L(x)R(x)) with xl the left inverse of x."""
-    return q.L(q.left_inv(x)).inverse(), q.R(x), q.L(x) * q.R(x)
-
-
-def buchsteiner_triple(q, x):
-    rxi = q.R(x).inverse()
-    return q.L(x), rxi, q.L(x) * rxi
 
 
 def square_triple(q, x):
@@ -362,9 +337,8 @@ _C_ALT = _eq("(((y*x)*x)*z) = (y*(x*(x*z)))")
 class _Ctx:
     """Per-loop cache shared by the suite's checks."""
 
-    def __init__(self, q, cap):
+    def __init__(self, q):
         self.q = q
-        self.cap = cap
         self._flags = {}
         self._groups = {}
         self._nuclei = None
@@ -374,17 +348,11 @@ class _Ctx:
             self._flags[name] = check_variety(self.q, name)
         return self._flags[name]
 
-    def group(self, name):
-        if name not in self._groups:
-            fn = {
-                "mlt": perms.mlt,
-                "mlt_left": perms.mlt_left,
-                "mlt_right": perms.mlt_right,
-                "inn_left": perms.inn_left,
-                "inn_right": perms.inn_right,
-            }[name]
-            self._groups[name] = fn(self.q, cap=self.cap)
-        return self._groups[name]
+    def group(self, build):
+        """The group ``build(q)`` for a function ``build`` of ``perms``."""
+        if build not in self._groups:
+            self._groups[build] = build(self.q)
+        return self._groups[build]
 
     @property
     def nuclei(self):
@@ -459,27 +427,18 @@ def _check_a3_fiveway(ctx):
     return len(set(conds)) == 1
 
 
-def _two_of_three(a, b, c):
-    flags = (a, b, c)
-    if sum(flags) < 2:
-        return None
-    return all(flags)
-
-
 def _check_mlt_normal(ctx):
-    return perms.is_normal_subgroup(ctx.group("mlt_left"), ctx.group("mlt")) and (
-        perms.is_normal_subgroup(ctx.group("mlt_right"), ctx.group("mlt"))
+    return perms.is_normal_subgroup(ctx.group(perms.mlt_left), ctx.group(perms.mlt)) and (
+        perms.is_normal_subgroup(ctx.group(perms.mlt_right), ctx.group(perms.mlt))
     )
 
 
 def _check_inner_equal(ctx):
     q = ctx.q
     n = q.order
-    il, ir = ctx.group("inn_left"), ctx.group("inn_right")
-    if il.elements != ir.elements:
-        return False
-    comms = [perms.commutator_LR(q, y, x) for x in range(n) for y in range(n)]
-    return perms.closure(comms, cap=ctx.cap).elements == il.elements
+    il = ctx.group(perms.inn_left)
+    comms = (perms.commutator_LR(q, y, x) for x in range(n) for y in range(n))
+    return il == ctx.group(perms.inn_right) and perms.closure(comms) == il
 
 
 def _check_commutator_forms(ctx):
@@ -518,14 +477,11 @@ def _check_translation_identities(ctx):
 
 def _check_pseudo_companions(ctx):
     q = ctx.q
-    for x in range(q.order):
-        for y in range(q.order):
-            ll = q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y)
-            if not is_right_pseudoautomorphism(q, ll, companion_of_left_inner(q, x, y)):
-                return False
-            rr = q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y)
-            if not is_left_pseudoautomorphism(q, rr, companion_of_right_inner(q, x, y)):
-                return False
+    for (kind, x, y), p in perms.standard_generators(q):
+        if kind == "LL" and not is_right_pseudoautomorphism(q, p, companion_of_left_inner(q, x, y)):
+            return False
+        if kind == "RR" and not is_left_pseudoautomorphism(q, p, companion_of_right_inner(q, x, y)):
+            return False
     return True
 
 
@@ -630,15 +586,17 @@ def _suite():
     def add(check_id, applies, verdict):
         rows.append((check_id, applies, verdict))
 
+    def two_of_three(check_id, *conds):
+        # Any two of the three conditions give the third.
+        add(check_id, lambda ctx: sum(c(ctx) for c in conds) >= 2,
+            lambda ctx: all(c(ctx) for c in conds))
+
     always = lambda ctx: True
+    flag = lambda name: lambda ctx: ctx.flag(name)
 
     add("lc_tenway_agreement", always, _check_a2_tenway)
     add("c_fiveway_agreement", always, _check_a3_fiveway)
-    add(
-        "lcc_lc_lbol_two_of_three",
-        lambda ctx: sum((ctx.flag("lcc"), ctx.flag("lc"), ctx.flag("lbol"))) >= 2,
-        lambda ctx: all((ctx.flag("lcc"), ctx.flag("lc"), ctx.flag("lbol"))),
-    )
+    two_of_three("lcc_lc_lbol_two_of_three", flag("lcc"), flag("lc"), flag("lbol"))
     add(
         "lbol_lc_iff_left_nuclear_squares",
         lambda ctx: ctx.flag("lbol"),
@@ -672,12 +630,12 @@ def _suite():
     )
     add(
         "normal_mlt_left_gives_normal_right_nucleus",
-        lambda ctx: perms.is_normal_subgroup(ctx.group("mlt_left"), ctx.group("mlt")),
+        lambda ctx: perms.is_normal_subgroup(ctx.group(perms.mlt_left), ctx.group(perms.mlt)),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[2]),
     )
     add(
         "normal_mlt_right_gives_normal_left_nucleus",
-        lambda ctx: perms.is_normal_subgroup(ctx.group("mlt_right"), ctx.group("mlt")),
+        lambda ctx: perms.is_normal_subgroup(ctx.group(perms.mlt_right), ctx.group(perms.mlt)),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[0]),
     )
     add(
@@ -760,32 +718,12 @@ def _suite():
         lambda ctx: ctx.flag("buchsteiner"),
         lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2],
     )
-    for name, parts in (
-        (
-            "osborn_buchsteiner_nuclear_squares_two_of_three",
-            ("osborn", "buchsteiner", "nuclear_squares"),
-        ),
-        ("osborn_buchsteiner_square_law_two_of_three", ("osborn", "buchsteiner", "jaiyeola")),
-    ):
-        add(
-            name,
-            lambda ctx, parts=parts: sum(ctx.flag(p) for p in parts) >= 2,
-            lambda ctx, parts=parts: all(ctx.flag(p) for p in parts),
-        )
-    add(
-        "gen_moufang_wipcc_nuclear_squares_two_of_three",
-        lambda ctx: _two_of_three(
-            ctx.flag("gen_moufang"),
-            ctx.flag("wip") and ctx.flag("cc"),
-            ctx.flag("nuclear_squares"),
-        )
-        is not None,
-        lambda ctx: _two_of_three(
-            ctx.flag("gen_moufang"),
-            ctx.flag("wip") and ctx.flag("cc"),
-            ctx.flag("nuclear_squares"),
-        ),
-    )
+    two_of_three("osborn_buchsteiner_nuclear_squares_two_of_three",
+                 flag("osborn"), flag("buchsteiner"), flag("nuclear_squares"))
+    two_of_three("osborn_buchsteiner_square_law_two_of_three",
+                 flag("osborn"), flag("buchsteiner"), flag("jaiyeola"))
+    two_of_three("gen_moufang_wipcc_nuclear_squares_two_of_three", flag("gen_moufang"),
+                 lambda ctx: ctx.flag("wip") and ctx.flag("cc"), flag("nuclear_squares"))
     add("buchsteiner_square_translations", lambda ctx: ctx.flag("buchsteiner"), _check_eq44)
     add("buchsteiner_right_square_translation", lambda ctx: ctx.flag("buchsteiner"), _check_eq45)
     add("nuclear_square_left_translation", always, _check_eq46)
@@ -810,14 +748,14 @@ class TheoremReport:
         return "\n".join(f"{self.loop_id} {check_id} {status}" for check_id, status in self.rows)
 
 
-def verify_theorems(q, loop_id="loop", cap=perms.DEFAULT_CAP):
+def verify_theorems(q, loop_id="loop"):
     """Run the full theorem suite against one loop.
 
     Each check is conditional: loops outside a check's hypothesis report
     N/A for it.  A FAIL on any loop means the implementation (not the
     mathematics) is wrong somewhere.
     """
-    ctx = _Ctx(q, cap)
+    ctx = _Ctx(q)
     rows = []
     for check_id, applies, verdict in _SUITE:
         if not applies(ctx):

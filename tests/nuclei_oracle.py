@@ -13,6 +13,20 @@ from loopkit import perms
 from loopkit.structure import SubloopSet
 
 
+def fixed_points(perms):
+    """Ids fixed by every permutation in the iterable."""
+    perms = list(perms)
+    if not perms:
+        return frozenset()
+    n = perms[0].degree
+    out = set(range(n))
+    for p in perms:
+        out = {x for x in out if p.images[x] == x}
+        if not out:
+            break
+    return frozenset(out)
+
+
 def nuclei_from_inner_mappings(q):
     """(left, middle, right) nuclei via fixed points of inner mappings.
 
@@ -23,7 +37,7 @@ def nuclei_from_inner_mappings(q):
     ll = (q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y) for x in range(n) for y in range(n))
     rr = (q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y) for x in range(n) for y in range(n))
     mid = (perms.commutator_LR(q, y, x) for y in range(n) for x in range(n))
-    left = SubloopSet.from_members(n, perms.fixed_points(rr))
-    right = SubloopSet.from_members(n, perms.fixed_points(ll))
-    middle = SubloopSet.from_members(n, perms.fixed_points(mid))
+    left = SubloopSet.from_members(n, fixed_points(rr))
+    right = SubloopSet.from_members(n, fixed_points(ll))
+    middle = SubloopSet.from_members(n, fixed_points(mid))
     return left, middle, right

@@ -1,0 +1,22 @@
+"""Breadth-first group closure, kept as the reference that the stabilizer
+chains of ``loopkit.perms`` are tested against."""
+
+from loopkit.perms import Perm
+
+
+def closure_elements(generators):
+    """Every element of the group the generators generate, by breadth-first
+    search from the identity; the generators must share one degree."""
+    gens = list(generators)
+    els = {Perm.identity(gens[0].degree)}
+    frontier = list(els)
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = g * p
+                if q not in els:
+                    els.add(q)
+                    new.append(q)
+        frontier = new
+    return frozenset(els)

@@ -13,7 +13,6 @@ from loopkit.bk import (
     bk_mul,
     bk_rdiv,
     format_element,
-    in_subloop,
     nonnormal_witness,
     oplus,
     parse_element,
@@ -21,6 +20,12 @@ from loopkit.bk import (
     window_audit,
 )
 from loopkit.errors import ParseError
+
+
+def in_subloop(e):
+    """Membership in S = {first coordinate 0}."""
+    return e.a == 0
+
 
 P2 = BKParams(2)
 P3 = BKParams(3)

@@ -211,7 +211,7 @@ def test_verify_corpus_passes(z4_file, capsys):
 
 
 def test_verify_exit_three_on_failure(z4_file, capsys, monkeypatch):
-    def fake(q, loop_id="loop", cap=0):
+    def fake(q, loop_id="loop"):
         return TheoremReport(loop_id, [("made_up_check", "FAIL")])
 
     monkeypatch.setattr(varieties, "verify_theorems", fake)

@@ -1,11 +1,19 @@
 """Permutations, closures, multiplication and inner mapping groups."""
 
+from math import factorial
+
 import pytest
+from hypothesis import given, settings
 
 from loopkit import perms
-from loopkit.errors import Capped, DegreeMismatch
-from loopkit.perms import Perm, closure, commutator_LR, fixed_points
+from loopkit.core import LoopTable
+from loopkit.errors import DegreeMismatch
+from loopkit.perms import Perm, closure, commutator_LR
 from loopkit.tables import cyclic, dihedral
+from loopkit.varieties import verify_theorems
+from loop_strategies import loops
+from nuclei_oracle import fixed_points
+from perms_oracle import closure_elements
 
 
 def test_composition_applies_right_factor_first():
@@ -45,11 +53,72 @@ def test_closure_generates_symmetric_group():
     assert swap * cycle in g
 
 
-def test_closure_cap_raises():
-    swap = Perm([1, 0, 2])
-    cycle = Perm([1, 2, 0])
-    with pytest.raises(Capped):
-        closure([swap, cycle], cap=3)
+def test_closure_of_no_generators_is_refused():
+    with pytest.raises(ValueError):
+        closure([])
+    with pytest.raises(DegreeMismatch):
+        closure([Perm([1, 0]), Perm([0, 2, 1])])
+
+
+def _oracle_groups(q):
+    """Each group of ``perms`` as the breadth-first closure of its
+    generators; Inn is the stabilizer of 0 in that closure of Mlt."""
+    n = q.order
+    ls = [q.L(x) for x in range(n)]
+    rs = [q.R(x) for x in range(n)]
+    std = perms.standard_generators(q)
+    full = closure_elements(ls + rs)
+    return {
+        perms.mlt: full,
+        perms.mlt_left: closure_elements(ls),
+        perms.mlt_right: closure_elements(rs),
+        perms.inn: frozenset(p for p in full if p(0) == 0),
+        perms.inn_left: closure_elements(p for (kind, _x, _y), p in std if kind == "LL"),
+        perms.inn_right: closure_elements(p for (kind, _x, _y), p in std if kind == "RR"),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_chains_match_breadth_first_closure(q):
+    probes = [q.L(x) for x in range(q.order)] + [q.R(x) for x in range(q.order)]
+    probes += [p for _tag, p in perms.standard_generators(q)]
+    for build, expected in _oracle_groups(q).items():
+        group = build(q)
+        assert len(group) == len(expected), build.__name__
+        assert group.elements == expected, build.__name__
+        assert all((p in group) == (p in expected) for p in probes), build.__name__
+
+
+def test_group_equality_compares_generated_groups():
+    swap, cycle = Perm([1, 0, 2]), Perm([1, 2, 0])
+    assert closure([swap, cycle]) == closure([cycle * swap, swap * cycle, swap])
+    assert closure([cycle]) != closure([swap, cycle])
+    assert Perm([1, 0]) not in closure([cycle])
+
+
+# The first loop of search(SearchSpec(10, mode="first", shard_slice=(37, 100))),
+# written out so that later search changes cannot move it.  Its Mlt is S10,
+# with 3,628,800 elements.
+ORDER10_ROWS = [
+    [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    [1, 0, 9, 2, 3, 4, 5, 6, 7, 8],
+    [2, 3, 7, 8, 9, 0, 1, 4, 5, 6],
+    [3, 8, 0, 6, 7, 9, 2, 1, 4, 5],
+    [4, 2, 3, 1, 5, 6, 7, 8, 9, 0],
+    [5, 4, 1, 0, 2, 8, 9, 3, 6, 7],
+    [6, 5, 4, 7, 8, 1, 0, 9, 2, 3],
+    [7, 6, 5, 9, 1, 2, 8, 0, 3, 4],
+    [8, 9, 6, 4, 0, 7, 3, 5, 1, 2],
+    [9, 7, 8, 5, 6, 3, 4, 2, 0, 1],
+]
+
+
+def test_order10_groups_need_no_listing():
+    q = LoopTable(ORDER10_ROWS)
+    assert len(perms.mlt(q)) == factorial(10)
+    assert len(perms.inn(q)) == factorial(9)
+    assert verify_theorems(q).failures() == []
 
 
 def test_mlt_of_cyclic_group_is_regular():
@@ -72,9 +141,9 @@ def test_inn_of_group_is_inner_automorphisms():
 
 
 def test_inn_fixed_points_are_group_center():
-    fixed = fixed_points(perms.inn(dihedral(3)))
+    fixed = fixed_points(perms.inn(dihedral(3)).elements)
     assert fixed == frozenset({0})
-    fixed_abelian = fixed_points(perms.inn(cyclic(5)))
+    fixed_abelian = fixed_points(perms.inn(cyclic(5)).elements)
     assert fixed_abelian == frozenset(range(5))
 
 

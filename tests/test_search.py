@@ -264,6 +264,20 @@ def test_budget_nodes_raises():
     assert exc.value.elapsed >= 0.0
 
 
+def test_budget_nodes_stops_at_the_exact_count():
+    with pytest.raises(BudgetExceeded) as exc:
+        search(SearchSpec(order=6, mode="count"), budget_nodes=1000)
+    assert exc.value.visited == 1001
+
+
+def test_budget_nodes_stops_each_small_slice_share():
+    # Each of the 64 slices gets ceil(1000 / 64) = 16 nodes and stops at
+    # its 17th, rather than running on to a multiple of 1,024.
+    with pytest.raises(BudgetExceeded) as exc:
+        search(SearchSpec(order=6, mode="count", shards=64), budget_nodes=1000)
+    assert exc.value.visited <= 64 * 17
+
+
 def test_budget_seconds_raises():
     with pytest.raises(BudgetExceeded):
         search(SearchSpec(order=7, mode="count"), budget_seconds=0.05)

@@ -1,14 +1,15 @@
 """Variety catalog, autotopisms, pseudoautomorphisms, theorem suite."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from loopkit import structure, varieties
 from loopkit.core import direct_product, isomorphic, opposite, principal_isotope
-from loopkit.errors import NotAutotopism, UnknownVariety
+from loopkit.errors import LoopError, UnknownVariety
 from loopkit.perms import Perm
 from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import (
-    Autotopism,
     catalog_names,
     check_variety,
     companion_of_left_inner,
@@ -22,10 +23,33 @@ from loopkit.varieties import (
     is_right_pseudoautomorphism,
     nuclear_triple,
     order16_report,
-    osborn_triple,
     propagation_programs,
     verify_theorems,
 )
+
+
+class NotAutotopism(LoopError):
+    """Triple of permutations fails the autotopism condition."""
+
+
+@dataclass(frozen=True)
+class Autotopism:
+    """A verified autotopism triple: alpha(x) * beta(y) == gamma(x*y)."""
+
+    alpha: Perm
+    beta: Perm
+    gamma: Perm
+
+    @classmethod
+    def checked(cls, q, alpha, beta, gamma):
+        if not is_autotopism(q, alpha, beta, gamma):
+            raise NotAutotopism("triple fails the autotopism condition")
+        return cls(alpha, beta, gamma)
+
+
+def osborn_triple(q, x):
+    """(L(xl)^-1, R(x), L(x)R(x)) with xl the left inverse of x."""
+    return q.L(q.left_inv(x)).inverse(), q.R(x), q.L(x) * q.R(x)
 
 
 def test_catalog_is_complete_and_resolvable():
