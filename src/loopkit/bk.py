@@ -12,6 +12,8 @@ arithmetic; the loop is infinite and evaluated lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 from .errors import Inconsistent, ParseError, WitnessNotFoundInWindow
 
@@ -46,8 +48,7 @@ class BKParams:
             raise ValueError("window bounds must be positive")
 
 
-@dataclass(frozen=True)
-class BKElement:
+class BKElement(NamedTuple):
     a: int
     x: int
 
@@ -165,32 +166,50 @@ def _signed_range(bound):
         yield -m
 
 
+def _pairs(bound_a, bound_t):
+    """Every pair of elements with |a| <= bound_a and |x| <= bound_t, in
+    the order (|x.a| + |y.a|, _element_key(x), _element_key(y)), generated
+    one at a time.  The key starts with |a| and differs for every element,
+    so grouping by |a| and walking the groups gives that order exactly."""
+    groups = [
+        sorted((BKElement(a, t) for a in {m, -m} for t in _signed_range(bound_t)),
+               key=_element_key)
+        for m in range(bound_a + 1)
+    ]
+    for total in range(2 * bound_a + 1):
+        for mx in range(max(0, total - bound_a), min(total, bound_a) + 1):
+            ys = groups[total - mx]
+            for x in groups[mx]:
+                for y in ys:
+                    yield x, y
+
+
 def nonnormal_witness(params):
-    """Find (x, y, s0, preimage) certifying that S is not normal.
+    r"""Find (x, y, s0, preimage) certifying that S is not normal.
 
     The generator phi = L(xy)^-1 L(x) L(y) maps S into S, so if some
     s0 in S has phi-preimage outside S then phi(S) is a proper subset of
     S and S cannot be normal.  The scan over the window is fixed and
-    deterministic: pairs ordered by total |first coordinate|, then by a
-    lexicographic element key; s0 = (0, w) with |w| ascending.
+    deterministic: pairs ordered by |x.a| + |y.a|, then by the element
+    key of x, then by that of y; s0 = (0, w) with w in 0, 1, -1, 2, -2, ...
+
+    Only the first min(p**2, 2*window_x + 1) values of w are tried, and
+    that is exact.  xy * (0, w) never takes bk_mul's special branch, so it
+    is (xy.a, xy.x + w).  The first coordinate of bk_ldiv(u, t) depends on
+    t.x only mod p, and its second is t.x - u.x or t.x // p - u.x.  So the
+    first coordinate of the preimage y\(x\(xy * s0)) depends on w only
+    mod p**2.  The first p**2 values of w are consecutive integers and
+    meet every residue, so they hold the first witness w of every pair.
 
     Raises WitnessNotFoundInWindow if the window holds no witness.
     """
     bound_a = params.window_a
     bound_x = params.window_x
-    tb = min(bound_x, params.p * params.p)
-    elems = [BKElement(a, t) for a in _signed_range(bound_a) for t in _signed_range(tb)]
-    pairs = sorted(
-        ((x, y) for x in elems for y in elems),
-        key=lambda xy: (
-            abs(xy[0].a) + abs(xy[1].a),
-            _element_key(xy[0]),
-            _element_key(xy[1]),
-        ),
-    )
-    for x, y in pairs:
+    p2 = params.p * params.p
+    ws = list(islice(_signed_range(bound_x), p2))
+    for x, y in _pairs(bound_a, min(bound_x, p2)):
         xy = bk_mul(params, x, y)
-        for w in _signed_range(bound_x):
+        for w in ws:
             s0 = BKElement(0, w)
             target = bk_mul(params, xy, s0)
             u = bk_ldiv(params, y, bk_ldiv(params, x, target))

@@ -232,6 +232,18 @@ def inn(q):
     return PermGroup(q.order, chain[0][1] if chain else (), chain)
 
 
+def _ll_maps(q):
+    L, n = q.L, q.order
+    return [(("LL", x, y), L(q.mul(x, y)).inverse() * L(x) * L(y))
+            for x in range(n) for y in range(n)]
+
+
+def _rr_maps(q):
+    R, n = q.R, q.order
+    return [(("RR", x, y), R(q.mul(y, x)).inverse() * R(x) * R(y))
+            for x in range(n) for y in range(n)]
+
+
 def standard_generators(q):
     """The three classical generator families of the inner mapping group.
 
@@ -239,23 +251,19 @@ def standard_generators(q):
     "TR": LL is L(x*y)^-1 L(x) L(y), RR is R(y*x)^-1 R(x) R(y), and TR is
     L(x)^-1 R(x) (tagged with y == 0).
     """
-    L, R, n = q.L, q.R, q.order
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    return (
-        [(("LL", x, y), L(q.mul(x, y)).inverse() * L(x) * L(y)) for x, y in pairs]
-        + [(("RR", x, y), R(q.mul(y, x)).inverse() * R(x) * R(y)) for x, y in pairs]
-        + [(("TR", x, 0), L(x).inverse() * R(x)) for x in range(n)]
-    )
+    L, R = q.L, q.R
+    return (_ll_maps(q) + _rr_maps(q)
+            + [(("TR", x, 0), L(x).inverse() * R(x)) for x in range(q.order)])
 
 
 def inn_left(q):
     """Closure of the maps L(x*y)^-1 L(x) L(y)."""
-    return closure(p for (kind, _x, _y), p in standard_generators(q) if kind == "LL")
+    return closure(p for _tag, p in _ll_maps(q))
 
 
 def inn_right(q):
     """Closure of the maps R(y*x)^-1 R(x) R(y)."""
-    return closure(p for (kind, _x, _y), p in standard_generators(q) if kind == "RR")
+    return closure(p for _tag, p in _rr_maps(q))
 
 
 def is_normal_subgroup(h, g):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bk_oracle
+import loopkit.bk
 from loopkit.bk import (
     UNIT,
     AuditReport,
@@ -19,7 +21,7 @@ from loopkit.bk import (
     standard_inner,
     window_audit,
 )
-from loopkit.errors import ParseError
+from loopkit.errors import ParseError, WitnessNotFoundInWindow
 
 
 def in_subloop(e):
@@ -183,6 +185,60 @@ def test_witness_p5_small_window():
         BKElement(-20, 1),
     )
     assert standard_inner(params, "LL", x, y, pre) == s0
+
+
+def _witness_or_none(find, params):
+    try:
+        return find(params)
+    except WitnessNotFoundInWindow:
+        return None
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    window_a=st.integers(1, 4),
+    window_x=st.integers(1, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_witness_matches_full_scan(p, window_a, window_x):
+    params = BKParams(p, window_a=window_a, window_x=window_x)
+    assert _witness_or_none(nonnormal_witness, params) == _witness_or_none(
+        bk_oracle.nonnormal_witness, params
+    )
+
+
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    x=elements,
+    y=elements,
+    w=st.integers(-200, 200),
+)
+@settings(max_examples=300, deadline=None)
+def test_preimage_first_coordinate_has_period_p_squared(p, x, y, w):
+    # Why the witness scan may stop after p**2 values of w.
+    params = BKParams(p)
+    xy = bk_mul(params, x, y)
+
+    def preimage_a(w):
+        target = bk_mul(params, xy, BKElement(0, w))
+        return bk_ldiv(params, y, bk_ldiv(params, x, target)).a
+
+    assert preimage_a(w) == preimage_a(w + p * p)
+
+
+def test_witness_scan_divides_little(monkeypatch):
+    # The full scan divides 227,939 times for p=2; one period of w and
+    # pairs taken in order until the first witness need 4,541.
+    calls = [0]
+    ldiv = loopkit.bk.bk_ldiv
+
+    def counting(*args):
+        calls[0] += 1
+        return ldiv(*args)
+
+    monkeypatch.setattr(loopkit.bk, "bk_ldiv", counting)
+    assert nonnormal_witness(P2)[0] == BKElement(1, 0)
+    assert calls[0] <= 10_000
 
 
 def test_witness_proves_strict_containment():

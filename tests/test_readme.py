@@ -1,0 +1,37 @@
+"""The README's library example runs and prints what its comments say."""
+
+import ast
+import io
+import tokenize
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_example():
+    """The fenced python block under "## Library use"."""
+    text = README.read_text()
+    section = text.split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_library_example_values():
+    source = library_example()
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace = {}
+    checked = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            checked.append((repr(value), comments[stmt.end_lineno]))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert len(checked) == 4
+    for value, comment in checked:
+        assert value == comment
+    x, y, s0, pre = namespace["w"]
+    assert namespace["loopkit"].bk.standard_inner(namespace["params"], "LL", x, y, pre) == s0
