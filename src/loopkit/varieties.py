@@ -1,4 +1,4 @@
-"""Variety catalog, autotopisms, pseudoautomorphisms and the theorem suite.
+"""Variety catalog, autotopisms and the theorem suite.
 
 Every equational variety is defined by compiled identity programs; the
 same programs drive both full-table checks here and pruning inside the
@@ -61,65 +61,6 @@ def square_triple(q, x):
     lx = q.L(x)
     lx2 = lx * lx
     return lx2, q.L(q.left_inv(x)) * lx, lx2
-
-
-def is_automorphism(q, p):
-    if p.images[0] != 0:
-        return False
-    n = q.order
-    rows = q.rows
-    im = p.images
-    for x in range(n):
-        for y in range(n):
-            if im[rows[x][y]] != rows[im[x]][im[y]]:
-                return False
-    return True
-
-
-def is_left_pseudoautomorphism(q, beta, c):
-    """beta with companion c: (L(c) beta, beta, L(c) beta) is an autotopism."""
-    lc = q.L(c)
-    return is_autotopism(q, lc * beta, beta, lc * beta)
-
-
-def is_right_pseudoautomorphism(q, alpha, c):
-    """alpha with companion c: (alpha, R(c) alpha, R(c) alpha) is an autotopism."""
-    rc = q.R(c)
-    return is_autotopism(q, alpha, rc * alpha, rc * alpha)
-
-
-def companion_of_left_inner(q, x, y):
-    """Companion making L(xy)^-1 L(x) L(y) a right pseudoautomorphism."""
-    return q.mul(q.rdiv(y, q.right_inv(x)), q.right_inv(q.mul(x, y)))
-
-
-def companion_of_right_inner(q, x, y):
-    """Companion making R(yx)^-1 R(x) R(y) a left pseudoautomorphism."""
-    return q.mul(q.left_inv(q.mul(y, x)), q.ldiv(q.left_inv(x), y))
-
-
-def osborn_alpha_audit(q):
-    """Permutation-level audit of the three expressions for the map
-    y -> rdiv(x * (y * x), x) and the four-translation cancellation.
-
-    Returns a list of (x, which) mismatches; empty on loops where the
-    audited equalities hold (in particular the whole catalog entry
-    "osborn" class).
-    """
-    bad = []
-    for x in range(q.order):
-        lx, rx = q.L(x), q.R(x)
-        xl = q.left_inv(x)
-        a1 = rx.inverse() * lx * rx
-        a2 = lx * rx * q.R(xl)
-        a3 = q.L(xl).inverse()
-        if a1 != a2:
-            bad.append((x, "conjugate-vs-product"))
-        if a1 != a3:
-            bad.append((x, "conjugate-vs-inverse-translation"))
-        if not (rx * q.R(xl) * q.L(xl) * lx).is_identity():
-            bad.append((x, "four-translation-cancellation"))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +272,64 @@ _A2_EXTRA = _eq(
     "(y*(x*(x*z))) = ((y*(x*x))*z)",
 )
 
-_C_ALT = _eq("(((y*x)*x)*z) = (y*(x*(x*z)))")
+# An alternative form of c, and (R(x)^-2, L(x)^2, 1) as an autotopism.
+_C_ALT = _eq(
+    "(((y*x)*x)*z) = (y*(x*(x*z)))",
+    "(((y/x)/x)*(x*(x*z))) = (y*z)",
+)
+
+# Suite rows that equate translation products for all x and y, each as the
+# identities the equalities give at every z (and u).  Maps compose right to
+# left; x^l = e/x and x^r = x\e.
+_TRANSLATION_EQS = {
+    "osborn_translation_conjugation": _eq(
+        # R(x)^-1 L(y) R(x) = L(x^l)^-1 L(x^l y)
+        "((y*(z*x))/x) = ((e/x)\\(((e/x)*y)*z))",
+        # L(x)^-1 R(y) L(x) = R(x^r)^-1 R(y x^r)
+        "(x\\((x*z)*y)) = ((z*(y*(x\\e)))/(x\\e))",
+    ),
+    "osborn_commutator_translation_forms": _eq(
+        # [L(y), R(x)] = (L(x^l y)^-1 L(x^l) L(y))^-1
+        "(y\\((y*(z*x))/x)) = (y\\((e/x)\\(((e/x)*y)*z)))",
+        # [L(y), R(x)] = R(x y^r)^-1 R(y^r) R(x)
+        "(y\\((y*(z*x))/x)) = (((z*x)*(y\\e))/(x*(y\\e)))",
+    ),
+    "osborn_inner_pseudo_companions": _eq(
+        # L(x,y) = L(xy)^-1 L(x) L(y) is a right pseudoautomorphism with
+        # companion c = (y/x^r)(xy)^r: L(x,y)z * (L(x,y)u * c) = L(x,y)(zu) * c
+        "(((x*y)\\(x*(y*z)))*(((x*y)\\(x*(y*u)))*((y/(x\\e))*((x*y)\\e))))"
+        " = (((x*y)\\(x*(y*(z*u))))*((y/(x\\e))*((x*y)\\e)))",
+        # R(x,y) = R(yx)^-1 R(x) R(y) is a left pseudoautomorphism with
+        # companion c = (yx)^l (x^l\y): (c * R(x,y)z) * R(x,y)u = c * R(x,y)(zu)
+        "((((e/(y*x))*((e/x)\\y))*(((z*y)*x)/(y*x)))*(((u*y)*x)/(y*x)))"
+        " = (((e/(y*x))*((e/x)\\y))*((((z*u)*y)*x)/(y*x)))",
+    ),
+    "osborn_inverse_translation_automorphisms": _eq(
+        # L(x^l) L(x) = L(x) L(x^r), and it is an automorphism
+        "((e/x)*(x*y)) = (x*((x\\e)*y))",
+        # R(x) R(x^l) = R(x^r) R(x), and it is an automorphism
+        "((y*(e/x))*x) = ((y*x)*(x\\e))",
+        "((e/x)*(x*(y*z))) = (((e/x)*(x*y))*((e/x)*(x*z)))",
+        "(((y*z)*(e/x))*x) = (((y*(e/x))*x)*((z*(e/x))*x))",
+    ),
+    "osborn_alpha_forms": _eq(
+        # R(x)^-1 L(x) R(x) = L(x) R(x) R(x^l) = L(x^l)^-1
+        "((x*(y*x))/x) = (x*((y*(e/x))*x))",
+        "((x*(y*x))/x) = ((e/x)\\y)",
+        # R(x) R(x^l) L(x^l) L(x) = 1
+        "((((e/x)*(x*y))*(e/x))*x) = y",
+    ),
+    "buchsteiner_square_translations": _eq(
+        # L(x^2) = L(x) R(x)^-1 L(x) R(x)
+        "((x*x)*y) = (x*((x*(y*x))/x))",
+        # R(x^2) = R(x) L(x)^-1 R(x) L(x)
+        "(y*(x*x)) = ((x\\((x*y)*x))*x)",
+    ),
+    "buchsteiner_right_square_translation": _eq(
+        # R(x) R(x) L(x^2)^-1 L(x) L(x) = R(x^2)
+        "((((x*x)\\(x*(x*y)))*x)*x) = (y*(x*x))",
+    ),
+}
 
 
 class _Ctx:
@@ -341,6 +339,7 @@ class _Ctx:
         self.q = q
         self._flags = {}
         self._groups = {}
+        self._normal = {}
         self._nuclei = None
 
     def flag(self, name):
@@ -353,6 +352,12 @@ class _Ctx:
         if build not in self._groups:
             self._groups[build] = build(self.q)
         return self._groups[build]
+
+    def normal_in_mlt(self, build):
+        """Whether the group ``build(q)`` is normal in Mlt."""
+        if build not in self._normal:
+            self._normal[build] = perms.is_normal_subgroup(self.group(build), self.group(perms.mlt))
+        return self._normal[build]
 
     @property
     def nuclei(self):
@@ -378,27 +383,18 @@ def _sq_in(ctx, which):
     return all(q.mul(x, x) in target for x in range(q.order))
 
 
-def _left_translation_test(q, p):
-    return p == q.L(p.images[0])
-
-
 def _check_a2_tenway(ctx):
+    # Three more of the ten conditions say that (L(x)^2, 1, L(x)^2) is an
+    # autotopism and that L(x)L(x)L(y) and L(y)L(x)L(x) are left
+    # translations.  Read at every z (and u), the first is lc with its sides
+    # swapped and the other two are, term for term, lc and _A2_EXTRA[2], so
+    # each of those identities is evaluated once.
     q = ctx.q
-    n = q.order
     conds = [ctx.flag("lc")]
     conds.extend(check_identity(q, prog) for prog in _A2_EXTRA)
     conds.append(ctx.flag("lap") and _sq_in(ctx, "left"))
     conds.append(ctx.flag("lap") and _sq_in(ctx, "middle"))
     conds.append(ctx.flag("lip") and _sq_in(ctx, "left"))
-    conds.append(
-        all(is_autotopism(q, q.L(x) * q.L(x), Perm.identity(n), q.L(x) * q.L(x)) for x in range(n))
-    )
-    conds.append(
-        all(_left_translation_test(q, q.L(x) * q.L(x) * q.L(y)) for x in range(n) for y in range(n))
-    )
-    conds.append(
-        all(_left_translation_test(q, q.L(y) * q.L(x) * q.L(x)) for x in range(n) for y in range(n))
-    )
     return len(set(conds)) == 1
 
 
@@ -409,28 +405,13 @@ def _check_a3_fiveway(ctx):
         ctx.flag("lc") and ctx.flag("rc"),
         ctx.flag("ip") and _sq_in(ctx, "nucleus"),
         ctx.flag("ap") and _sq_in(ctx, "middle"),
-        check_identity(q, _C_ALT[0]),
     ]
-    n = q.order
-    ident = Perm.identity(n)
-    conds.append(
-        all(
-            is_autotopism(
-                q,
-                (q.R(x).inverse()) ** 2,
-                q.L(x) * q.L(x),
-                ident,
-            )
-            for x in range(n)
-        )
-    )
+    conds.extend(check_identity(q, prog) for prog in _C_ALT)
     return len(set(conds)) == 1
 
 
 def _check_mlt_normal(ctx):
-    return perms.is_normal_subgroup(ctx.group(perms.mlt_left), ctx.group(perms.mlt)) and (
-        perms.is_normal_subgroup(ctx.group(perms.mlt_right), ctx.group(perms.mlt))
-    )
+    return ctx.normal_in_mlt(perms.mlt_left) and ctx.normal_in_mlt(perms.mlt_right)
 
 
 def _check_inner_equal(ctx):
@@ -441,89 +422,8 @@ def _check_inner_equal(ctx):
     return il == ctx.group(perms.inn_right) and perms.closure(comms) == il
 
 
-def _check_commutator_forms(ctx):
-    q = ctx.q
-    for x in range(q.order):
-        xl = q.left_inv(x)
-        for y in range(q.order):
-            com = perms.commutator_LR(q, y, x)
-            via_l = (q.L(q.mul(xl, y)).inverse() * q.L(xl) * q.L(y)).inverse()
-            if com != via_l:
-                return False
-            yr = q.right_inv(y)
-            via_r = q.R(q.mul(x, yr)).inverse() * q.R(yr) * q.R(x)
-            if com != via_r:
-                return False
-    return True
-
-
-def _check_translation_identities(ctx):
-    q = ctx.q
-    for x in range(q.order):
-        rx = q.R(x)
-        rxi = rx.inverse()
-        lx = q.L(x)
-        lxi = lx.inverse()
-        xl, xr = q.left_inv(x), q.right_inv(x)
-        lxl_i = q.L(xl).inverse()
-        rxr_i = q.R(xr).inverse()
-        for y in range(q.order):
-            if rxi * q.L(y) * rx != lxl_i * q.L(q.mul(xl, y)):
-                return False
-            if lxi * q.R(y) * lx != rxr_i * q.R(q.mul(y, xr)):
-                return False
-    return True
-
-
-def _check_pseudo_companions(ctx):
-    q = ctx.q
-    for (kind, x, y), p in perms.standard_generators(q):
-        if kind == "LL" and not is_right_pseudoautomorphism(q, p, companion_of_left_inner(q, x, y)):
-            return False
-        if kind == "RR" and not is_left_pseudoautomorphism(q, p, companion_of_right_inner(q, x, y)):
-            return False
-    return True
-
-
-def _check_inverse_automorphisms(ctx):
-    q = ctx.q
-    for x in range(q.order):
-        xl, xr = q.left_inv(x), q.right_inv(x)
-        left = q.L(xl) * q.L(x)
-        if left != q.L(x) * q.L(xr):
-            return False
-        right = q.R(x) * q.R(xl)
-        if right != q.R(xr) * q.R(x):
-            return False
-        if not is_automorphism(q, left) or not is_automorphism(q, right):
-            return False
-    return True
-
-
 def _quotient_by_nucleus(ctx):
     return structure.quotient(ctx.q, ctx.nucleus)[0]
-
-
-def _check_eq44(ctx):
-    q = ctx.q
-    for x in range(q.order):
-        lx, rx = q.L(x), q.R(x)
-        x2 = q.mul(x, x)
-        if q.L(x2) != lx * rx.inverse() * lx * rx:
-            return False
-        if q.R(x2) != rx * lx.inverse() * rx * lx:
-            return False
-    return True
-
-
-def _check_eq45(ctx):
-    q = ctx.q
-    for x in range(q.order):
-        x2 = q.mul(x, x)
-        lhs = q.R(x) * q.R(x) * q.L(x2).inverse() * q.L(x) * q.L(x)
-        if lhs != q.R(x2):
-            return False
-    return True
 
 
 def _check_eq46(ctx):
@@ -591,6 +491,10 @@ def _suite():
         add(check_id, lambda ctx: sum(c(ctx) for c in conds) >= 2,
             lambda ctx: all(c(ctx) for c in conds))
 
+    def translation(check_id, applies):
+        progs = _TRANSLATION_EQS[check_id]
+        add(check_id, applies, lambda ctx: all(check_identity(ctx.q, p) for p in progs))
+
     always = lambda ctx: True
     flag = lambda name: lambda ctx: ctx.flag(name)
 
@@ -630,12 +534,12 @@ def _suite():
     )
     add(
         "normal_mlt_left_gives_normal_right_nucleus",
-        lambda ctx: perms.is_normal_subgroup(ctx.group(perms.mlt_left), ctx.group(perms.mlt)),
+        lambda ctx: ctx.normal_in_mlt(perms.mlt_left),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[2]),
     )
     add(
         "normal_mlt_right_gives_normal_left_nucleus",
-        lambda ctx: perms.is_normal_subgroup(ctx.group(perms.mlt_right), ctx.group(perms.mlt)),
+        lambda ctx: ctx.normal_in_mlt(perms.mlt_right),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[0]),
     )
     add(
@@ -681,23 +585,19 @@ def _suite():
         always,
         lambda ctx: ctx.flag("gen_moufang") == (ctx.flag("wip") and ctx.flag("osborn")),
     )
-    add("osborn_translation_conjugation", lambda ctx: ctx.flag("osborn"), _check_translation_identities)
+    translation("osborn_translation_conjugation", flag("osborn"))
     add("osborn_mlt_one_sided_normal", lambda ctx: ctx.flag("osborn"), _check_mlt_normal)
     add("osborn_inner_groups_coincide", lambda ctx: ctx.flag("osborn"), _check_inner_equal)
-    add("osborn_commutator_translation_forms", lambda ctx: ctx.flag("osborn"), _check_commutator_forms)
+    translation("osborn_commutator_translation_forms", flag("osborn"))
     add(
         "osborn_nuclei_coincide_and_normal",
         lambda ctx: ctx.flag("osborn"),
         lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2]
         and structure.is_normal_subloop(ctx.q, ctx.nucleus),
     )
-    add("osborn_inner_pseudo_companions", lambda ctx: ctx.flag("osborn"), _check_pseudo_companions)
-    add("osborn_inverse_translation_automorphisms", lambda ctx: ctx.flag("osborn"), _check_inverse_automorphisms)
-    add(
-        "osborn_alpha_forms",
-        lambda ctx: ctx.flag("osborn"),
-        lambda ctx: not osborn_alpha_audit(ctx.q),
-    )
+    translation("osborn_inner_pseudo_companions", flag("osborn"))
+    translation("osborn_inverse_translation_automorphisms", flag("osborn"))
+    translation("osborn_alpha_forms", flag("osborn"))
     add(
         "osborn_cip_implies_commutative_moufang",
         lambda ctx: ctx.flag("osborn") and ctx.flag("cip"),
@@ -724,8 +624,8 @@ def _suite():
                  flag("osborn"), flag("buchsteiner"), flag("jaiyeola"))
     two_of_three("gen_moufang_wipcc_nuclear_squares_two_of_three", flag("gen_moufang"),
                  lambda ctx: ctx.flag("wip") and ctx.flag("cc"), flag("nuclear_squares"))
-    add("buchsteiner_square_translations", lambda ctx: ctx.flag("buchsteiner"), _check_eq44)
-    add("buchsteiner_right_square_translation", lambda ctx: ctx.flag("buchsteiner"), _check_eq45)
+    translation("buchsteiner_square_translations", flag("buchsteiner"))
+    translation("buchsteiner_right_square_translation", flag("buchsteiner"))
     add("nuclear_square_left_translation", always, _check_eq46)
     add("osborn_nuclear_square_translation", lambda ctx: ctx.flag("osborn"), _check_eq47)
     add("square_law_autotopism_agreement", always, _check_square_autotopism)

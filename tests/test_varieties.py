@@ -1,30 +1,38 @@
 """Variety catalog, autotopisms, pseudoautomorphisms, theorem suite."""
 
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import theorem_oracle
+from loop_strategies import loops
 from loopkit import structure, varieties
-from loopkit.core import direct_product, isomorphic, opposite, principal_isotope
+from loopkit.core import LoopTable, direct_product, isomorphic, opposite, principal_isotope
 from loopkit.errors import LoopError, UnknownVariety
+from loopkit.identities import check_identity
 from loopkit.perms import Perm
 from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import (
     catalog_names,
     check_variety,
-    companion_of_left_inner,
-    companion_of_right_inner,
     get_entry,
     is_autotopism,
-    is_automorphism,
     is_g_loop,
-    is_left_pseudoautomorphism,
     is_proper_osborn,
-    is_right_pseudoautomorphism,
     nuclear_triple,
     order16_report,
     propagation_programs,
     verify_theorems,
+)
+from theorem_oracle import (
+    companion_of_left_inner,
+    companion_of_right_inner,
+    is_automorphism,
+    is_left_pseudoautomorphism,
+    is_right_pseudoautomorphism,
 )
 
 
@@ -156,16 +164,16 @@ def test_is_automorphism_negation_on_cyclic(z6):
     assert not is_automorphism(z6, shift)
 
 
-def test_inner_mappings_are_pseudoautomorphisms_on_osborn(cc6):
-    q = cc6
-    for x in range(q.order):
-        for y in range(q.order):
-            lxy = q.L(q.mul(x, y)).inverse()
-            phi = lxy * q.L(x) * q.L(y)
-            assert is_left_pseudoautomorphism(q, phi, companion_of_left_inner(q, x, y))
-            ryx = q.R(q.mul(y, x)).inverse()
-            psi = ryx * q.R(x) * q.R(y)
-            assert is_right_pseudoautomorphism(q, psi, companion_of_right_inner(q, x, y))
+def test_inner_mappings_are_pseudoautomorphisms_on_osborn(cc6, m12):
+    for q in (cc6, m12):
+        for x in range(q.order):
+            for y in range(q.order):
+                lxy = q.L(q.mul(x, y)).inverse()
+                phi = lxy * q.L(x) * q.L(y)
+                assert is_right_pseudoautomorphism(q, phi, companion_of_left_inner(q, x, y))
+                ryx = q.R(q.mul(y, x)).inverse()
+                psi = ryx * q.R(x) * q.R(y)
+                assert is_left_pseudoautomorphism(q, psi, companion_of_right_inner(q, x, y))
 
 
 def test_g_loop_recognition(z4, cc6, q5):
@@ -198,6 +206,112 @@ def test_theorem_suite_clean_on_named_loops(z4, z6, s3, d8, q5, cc6, m12):
             parts = line.split()
             assert parts[0] == loop_id
             assert parts[-1] in ("PASS", "FAIL", "N/A")
+
+
+# Each row's (PASS, N/A, FAIL) counts over corpus5 and the named loops.
+SUITE_COUNTS = {
+    "lc_tenway_agreement": (70, 0, 0),
+    "c_fiveway_agreement": (70, 0, 0),
+    "lcc_lc_lbol_two_of_three": (17, 53, 0),
+    "lbol_lc_iff_left_nuclear_squares": (18, 52, 0),
+    "extra_loop_equivalences": (70, 0, 0),
+    "lc_implies_lip_and_normal_left_nucleus": (17, 53, 0),
+    "lip_left_middle_nuclei_equal": (18, 52, 0),
+    "rip_right_middle_nuclei_equal": (18, 52, 0),
+    "normal_mlt_left_gives_normal_right_nucleus": (70, 0, 0),
+    "normal_mlt_right_gives_normal_left_nucleus": (70, 0, 0),
+    "osborn_eightway_agreement": (70, 0, 0),
+    "osborn_closed_under_opposite": (70, 0, 0),
+    "moufang_implies_osborn": (18, 52, 0),
+    "osborn_moufang_by_single_extra_property": (19, 51, 0),
+    "osborn_aaip_implies_moufang": (18, 52, 0),
+    "cc_implies_osborn": (18, 52, 0),
+    "osborn_cc_lcc_rcc_agree": (19, 51, 0),
+    "vd_implies_osborn": (18, 52, 0),
+    "gen_moufang_iff_wip_osborn": (70, 0, 0),
+    "osborn_translation_conjugation": (19, 51, 0),
+    "osborn_mlt_one_sided_normal": (19, 51, 0),
+    "osborn_inner_groups_coincide": (19, 51, 0),
+    "osborn_commutator_translation_forms": (19, 51, 0),
+    "osborn_nuclei_coincide_and_normal": (19, 51, 0),
+    "osborn_inner_pseudo_companions": (19, 51, 0),
+    "osborn_inverse_translation_automorphisms": (19, 51, 0),
+    "osborn_alpha_forms": (19, 51, 0),
+    "osborn_cip_implies_commutative_moufang": (15, 55, 0),
+    "osborn_a_loop_factor_commutative_moufang": (18, 52, 0),
+    "cc_factor_by_nucleus_abelian": (18, 52, 0),
+    "buchsteiner_nuclei_coincide": (18, 52, 0),
+    "osborn_buchsteiner_nuclear_squares_two_of_three": (18, 52, 0),
+    "osborn_buchsteiner_square_law_two_of_three": (18, 52, 0),
+    "gen_moufang_wipcc_nuclear_squares_two_of_three": (18, 52, 0),
+    "buchsteiner_square_translations": (18, 52, 0),
+    "buchsteiner_right_square_translation": (18, 52, 0),
+    "nuclear_square_left_translation": (70, 0, 0),
+    "osborn_nuclear_square_translation": (19, 51, 0),
+    "square_law_autotopism_agreement": (70, 0, 0),
+    "nucleus_autotopism_route_agreement": (70, 0, 0),
+}
+
+
+def test_theorem_suite_row_counts_are_pinned(corpus5, z4, z6, s3, d8, q5, cc6, m12):
+    counts = {}
+    for q in [q for _id, q in corpus5] + [z4, z6, s3, d8, q5, cc6, m12]:
+        for check_id, status in verify_theorems(q).rows:
+            counts.setdefault(check_id, Counter())[status] += 1
+    pinned = {check_id: (c["PASS"], c["N/A"], c["FAIL"]) for check_id, c in counts.items()}
+    assert list(pinned.items()) == list(SUITE_COUNTS.items())
+
+
+_VERDICTS = {check_id: verdict for check_id, _applies, verdict in varieties._SUITE}
+_CONVERTED = (*theorem_oracle.ROUTES, "lc_tenway_agreement", "c_fiveway_agreement")
+
+
+def _translation_verdicts(q):
+    """The converted rows' verdicts, whether or not the rows apply, and the
+    identities that stand for the translation conditions of the ten-way
+    and five-way agreements."""
+    ctx = varieties._Ctx(q)
+    lc = check_variety(q, "lc")
+    return (
+        {check_id: _VERDICTS[check_id](ctx) for check_id in theorem_oracle.ROUTES},
+        (lc, lc, check_identity(q, varieties._A2_EXTRA[2])),
+        check_identity(q, varieties._C_ALT[1]),
+    )
+
+
+def _oracle_verdicts(q):
+    return (
+        {check_id: route(q) for check_id, route in theorem_oracle.ROUTES.items()},
+        theorem_oracle.lc_translation_conditions(q),
+        theorem_oracle.c_autotopism_condition(q),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_translation_identities_match_permutation_routes(cc6, m12, q5, data):
+    isotopes = st.sampled_from([cc6, m12, q5]).flatmap(
+        lambda q: st.builds(principal_isotope, st.just(q),
+                            st.integers(0, q.order - 1), st.integers(0, q.order - 1)))
+    q = data.draw(st.one_of(loops(), isotopes))
+    assert _translation_verdicts(q) == _oracle_verdicts(q)
+
+
+def test_translation_rows_build_no_translation(cc6, m12, monkeypatch):
+    cases = [(q, dict(verify_theorems(q).rows)) for q in (cc6, m12)]
+
+    def no_translation(self, x):
+        raise AssertionError("a translation was built")
+
+    monkeypatch.setattr(LoopTable, "L", no_translation)
+    monkeypatch.setattr(LoopTable, "R", no_translation)
+    for q, statuses in cases:
+        ctx = varieties._Ctx(q)
+        for check_id, applies, verdict in varieties._SUITE:
+            if check_id in _CONVERTED:
+                holds = verdict(ctx)
+                assert statuses[check_id] == (
+                    ("PASS" if holds else "FAIL") if applies(ctx) else "N/A"), check_id
 
 
 def test_theorem_suite_marks_inapplicable_rows(q5):
