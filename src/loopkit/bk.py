@@ -12,10 +12,9 @@ arithmetic; the loop is infinite and evaluated lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
-from .errors import Inconsistent, ParseError, WitnessNotFoundInWindow
+from .errors import Inconsistent, ParseError
 
 _INNER_KINDS = ("LL", "RR", "TR")
 
@@ -155,71 +154,58 @@ def standard_inner(params, kind, x, y, s):
 # witness
 
 
-def _element_key(e):
-    return (abs(e.a), e.a < 0, abs(e.x), e.x < 0)
-
-
-def _signed_range(bound):
-    yield 0
-    for m in range(1, bound + 1):
-        yield m
-        yield -m
-
-
-def _pairs(bound_a, bound_t):
-    """Every pair of elements with |a| <= bound_a and |x| <= bound_t, in
-    the order (|x.a| + |y.a|, _element_key(x), _element_key(y)), generated
-    one at a time.  The key starts with |a| and differs for every element,
-    so grouping by |a| and walking the groups gives that order exactly."""
-    groups = [
-        sorted((BKElement(a, t) for a in {m, -m} for t in _signed_range(bound_t)),
-               key=_element_key)
-        for m in range(bound_a + 1)
-    ]
-    for total in range(2 * bound_a + 1):
-        for mx in range(max(0, total - bound_a), min(total, bound_a) + 1):
-            ys = groups[total - mx]
-            for x in groups[mx]:
-                for y in ys:
-                    yield x, y
-
-
 def nonnormal_witness(params):
-    r"""Find (x, y, s0, preimage) certifying that S is not normal.
+    r"""(x, y, s0, preimage) certifying that S is not normal.
 
     The generator phi = L(xy)^-1 L(x) L(y) maps S into S, so if some
-    s0 in S has phi-preimage outside S then phi(S) is a proper subset of
-    S and S cannot be normal.  The scan over the window is fixed and
-    deterministic: pairs ordered by |x.a| + |y.a|, then by the element
-    key of x, then by that of y; s0 = (0, w) with w in 0, 1, -1, 2, -2, ...
+    s0 in S has a phi-preimage outside S then phi(S) is a proper subset
+    of S and S cannot be normal.  The witness is, with s0 = (0, 1):
 
-    Only the first min(p**2, 2*window_x + 1) values of w are tried, and
-    that is exact.  xy * (0, w) never takes bk_mul's special branch, so it
-    is (xy.a, xy.x + w).  The first coordinate of bk_ldiv(u, t) depends on
-    t.x only mod p, and its second is t.x - u.x or t.x // p - u.x.  So the
-    first coordinate of the preimage y\(x\(xy * s0)) depends on w only
-    mod p**2.  The first p**2 values of w are consecutive integers and
-    meet every residue, so they hold the first witness w of every pair.
+        p = 2:    x = y = (1,0),             preimage (2, 0);
+        p odd:    x = (1,0), y = (-1,0),     preimage (-p(p-1), 1).
 
-    Raises WitnessNotFoundInWindow if the window holds no witness.
+    It is replayed through standard_inner before it is returned.
+
+    It is also the first witness of the window scan that the tests keep
+    as the reference: pairs ordered by |x.a| + |y.a|, then by the key
+    (|a|, a < 0, |t|, t < 0) of x, then of y, with |a| <= window_a and
+    |t| <= min(window_x, p**2); for each pair w in 0, 1, -1, 2, -2, ...
+    up to |w| <= window_x; the first preimage y\(x\(xy * (0,w))) outside
+    S wins.  Four facts prove it:
+
+    1. If x.a = 0 or y.a = 0 the preimage is (0, w).  bk_mul's special
+       branch needs p | a+b with p not dividing a, so it never fires when
+       one factor lies in S: xy = (x.a + y.a, x.x + y.x) and
+       xy * (0,w) = (xy.a, xy.x + w).  bk_ldiv's special branch needs
+       p | w.a with p not dividing u.a; here the two divisions have
+       (u.a, w.a) = (x.a, x.a + y.a), then (y.a, y.a); each has u.a = 0
+       or u.a = w.a, so both take the ordinary branch.
+    2. For odd p and x = (1,0), y = (1,t) the preimage is (0, w): 2 is
+       not 0 mod p, so xy = (2, t), xy * (0,w) = (2, t+w), and the
+       divisions by x and then y give (1, t+w) and (0, w), all ordinary.
+    3. w = 0 gives the unit: s0 is then the unit, and x\(xy) = y and
+       y\y = (0,0) because divisions in a loop are unique.
+    4. Every legal window (window_a, window_x >= 1) holds (1,0), (-1,0)
+       and w = 1, the second value tried.
+
+    Pairs with |x.a| + |y.a| <= 1 have a factor in S (fact 1).  Among
+    the pairs with sum 2, those with x.a = 0 come first (fact 1), then
+    x = (1,0), the least key with |a| = 1, with y in key order (1,0),
+    (1,1), (1,-1), ..., then (-1,0).  For p = 2 the first of these is
+    the witness: xy = (0,0) and w = 1 gives the preimage (2,0).  For odd
+    p the y = (1,t) give nothing (fact 2), and y = (-1,0) gives
+    xy = (-p, p-1) and the preimage (p*((w-1) mod p) + p - p**2,
+    (p-1+w) // p): the unit at w = 0 (fact 3) and (-p(p-1), 1) at w = 1.
     """
-    bound_a = params.window_a
-    bound_x = params.window_x
-    p2 = params.p * params.p
-    ws = list(islice(_signed_range(bound_x), p2))
-    for x, y in _pairs(bound_a, min(bound_x, p2)):
-        xy = bk_mul(params, x, y)
-        for w in ws:
-            s0 = BKElement(0, w)
-            target = bk_mul(params, xy, s0)
-            u = bk_ldiv(params, y, bk_ldiv(params, x, target))
-            if u.a != 0:
-                if standard_inner(params, "LL", x, y, u) != s0:
-                    raise Inconsistent("witness replay failed")
-                return x, y, s0, u
-    raise WitnessNotFoundInWindow(
-        f"no witness for p={params.p} with |a|<={bound_a}, |x|<={bound_x}"
-    )
+    p = params.p
+    x, s0 = BKElement(1, 0), BKElement(0, 1)
+    if p == 2:
+        y, pre = x, BKElement(2, 0)
+    else:
+        y, pre = BKElement(-1, 0), BKElement(-p * (p - 1), 1)
+    if standard_inner(params, "LL", x, y, pre) != s0:
+        raise Inconsistent("witness replay failed")
+    return x, y, s0, pre
 
 
 # ---------------------------------------------------------------------------

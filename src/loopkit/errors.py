@@ -70,9 +70,5 @@ class BudgetExceeded(LoopError):
         super().__init__(f"budget exceeded after {visited} nodes, {elapsed:.2f}s")
 
 
-class WitnessNotFoundInWindow(LoopError):
-    """Bounded scan exhausted its window without a certified witness."""
-
-
 class ParseError(LoopError):
     """Malformed .loop text."""

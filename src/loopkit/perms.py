@@ -266,12 +266,6 @@ def inn_right(q):
     return closure(p for _tag, p in _rr_maps(q))
 
 
-def is_normal_subgroup(h, g):
-    """Whether h is normal in g: every generator of h conjugated by every
-    generator of g sifts into h."""
-    return all(x * y * x.inverse() in h for x in g.generators for y in h.generators)
-
-
 def commutator_LR(q, y, x):
     """[L(y), R(x)] under the a^-1 b^-1 a b convention."""
     ly, rx = q.L(y), q.R(x)

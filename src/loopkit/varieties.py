@@ -282,12 +282,6 @@ _C_ALT = _eq(
 # identities the equalities give at every z (and u).  Maps compose right to
 # left; x^l = e/x and x^r = x\e.
 _TRANSLATION_EQS = {
-    "osborn_translation_conjugation": _eq(
-        # R(x)^-1 L(y) R(x) = L(x^l)^-1 L(x^l y)
-        "((y*(z*x))/x) = ((e/x)\\(((e/x)*y)*z))",
-        # L(x)^-1 R(y) L(x) = R(x^r)^-1 R(y x^r)
-        "(x\\((x*z)*y)) = ((z*(y*(x\\e)))/(x\\e))",
-    ),
     "osborn_commutator_translation_forms": _eq(
         # [L(y), R(x)] = (L(x^l y)^-1 L(x^l) L(y))^-1
         "(y\\((y*(z*x))/x)) = (y\\((e/x)\\(((e/x)*y)*z)))",
@@ -353,11 +347,24 @@ class _Ctx:
             self._groups[build] = build(self.q)
         return self._groups[build]
 
-    def normal_in_mlt(self, build):
-        """Whether the group ``build(q)`` is normal in Mlt."""
-        if build not in self._normal:
-            self._normal[build] = perms.is_normal_subgroup(self.group(build), self.group(perms.mlt))
-        return self._normal[build]
+    def normal_in_mlt(self, side):
+        """Whether Mlt_left (``side`` "left") or Mlt_right ("right") is
+        normal in Mlt.
+
+        Left translations conjugate Mlt_left into itself, and a subgroup of
+        a finite group that holds its conjugates by every generator is
+        normal, so it is enough that every R(x)^-1 L(y) R(x) sifts into
+        Mlt_left; mirrored for Mlt_right.
+        """
+        if side not in self._normal:
+            q, n = self.q, self.q.order
+            own, other, build = ((q.L, q.R, perms.mlt_left) if side == "left"
+                                 else (q.R, q.L, perms.mlt_right))
+            h = self.group(build)
+            owns = [own(y) for y in range(n)]
+            self._normal[side] = all(
+                g.inverse() * t * g in h for g in map(other, range(n)) for t in owns)
+        return self._normal[side]
 
     @property
     def nuclei(self):
@@ -411,7 +418,7 @@ def _check_a3_fiveway(ctx):
 
 
 def _check_mlt_normal(ctx):
-    return ctx.normal_in_mlt(perms.mlt_left) and ctx.normal_in_mlt(perms.mlt_right)
+    return ctx.normal_in_mlt("left") and ctx.normal_in_mlt("right")
 
 
 def _check_inner_equal(ctx):
@@ -534,18 +541,19 @@ def _suite():
     )
     add(
         "normal_mlt_left_gives_normal_right_nucleus",
-        lambda ctx: ctx.normal_in_mlt(perms.mlt_left),
+        lambda ctx: ctx.normal_in_mlt("left"),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[2]),
     )
     add(
         "normal_mlt_right_gives_normal_left_nucleus",
-        lambda ctx: ctx.normal_in_mlt(perms.mlt_right),
+        lambda ctx: ctx.normal_in_mlt("right"),
         lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[0]),
     )
     add(
         "osborn_eightway_agreement",
         always,
-        lambda ctx: len({check_variety(ctx.q, f"osborn{i}") for i in range(1, 9)}) == 1,
+        # "osborn" is form 1 itself, so every form is evaluated once.
+        lambda ctx: len({ctx.flag("osborn"), *(ctx.flag(f"osborn{i}") for i in range(2, 9))}) == 1,
     )
     add(
         "osborn_closed_under_opposite",
@@ -585,7 +593,11 @@ def _suite():
         always,
         lambda ctx: ctx.flag("gen_moufang") == (ctx.flag("wip") and ctx.flag("osborn")),
     )
-    translation("osborn_translation_conjugation", flag("osborn"))
+    # R(x)^-1 L(y) R(x) = L(x^l)^-1 L(x^l y) and L(x)^-1 R(y) L(x) =
+    # R(x^r)^-1 R(y x^r), read at every z, are osborn7 (sides swapped) and
+    # osborn8 (y and z renamed).
+    add("osborn_translation_conjugation", flag("osborn"),
+        lambda ctx: ctx.flag("osborn7") and ctx.flag("osborn8"))
     add("osborn_mlt_one_sided_normal", lambda ctx: ctx.flag("osborn"), _check_mlt_normal)
     add("osborn_inner_groups_coincide", lambda ctx: ctx.flag("osborn"), _check_inner_equal)
     translation("osborn_commutator_translation_forms", flag("osborn"))

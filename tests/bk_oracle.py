@@ -1,23 +1,28 @@
-"""The full witness scan of ``loopkit.bk``, kept as the reference that
-``nonnormal_witness`` is tested against: every pair in the window, sorted
-up front, and every second coordinate w of s0 = (0, w) in the window."""
+"""The full witness scan of the integer-pair loop, kept as the reference
+that the closed-form ``loopkit.bk.nonnormal_witness`` is tested against:
+every pair in the window, sorted up front, and every second coordinate w
+of s0 = (0, w) in the window."""
 
-from loopkit.bk import (
-    BKElement,
-    _element_key,
-    _signed_range,
-    bk_ldiv,
-    bk_mul,
-    standard_inner,
-)
-from loopkit.errors import Inconsistent, WitnessNotFoundInWindow
+from loopkit.bk import BKElement, bk_ldiv, bk_mul, standard_inner
+from loopkit.errors import Inconsistent
+
+
+def _element_key(e):
+    return (abs(e.a), e.a < 0, abs(e.x), e.x < 0)
+
+
+def _signed_range(bound):
+    yield 0
+    for m in range(1, bound + 1):
+        yield m
+        yield -m
 
 
 def nonnormal_witness(params):
     """(x, y, s0, preimage): the first pair in the order (|x.a| + |y.a|,
     element key of x, element key of y) and the first w in
     0, 1, -1, 2, -2, ... whose preimage under L(xy)^-1 L(x) L(y) lies
-    outside S."""
+    outside S; None if the window holds no such pair."""
     bound_a = params.window_a
     bound_x = params.window_x
     tb = min(bound_x, params.p * params.p)
@@ -40,6 +45,4 @@ def nonnormal_witness(params):
                 if standard_inner(params, "LL", x, y, u) != s0:
                     raise Inconsistent("witness replay failed")
                 return x, y, s0, u
-    raise WitnessNotFoundInWindow(
-        f"no witness for p={params.p} with |a|<={bound_a}, |x|<={bound_x}"
-    )
+    return None

@@ -1,5 +1,6 @@
 """Breadth-first group closure, kept as the reference that the stabilizer
-chains of ``loopkit.perms`` are tested against."""
+chains of ``loopkit.perms`` are tested against, and the textbook
+normality test by conjugating generators."""
 
 from loopkit.perms import Perm
 
@@ -20,3 +21,9 @@ def closure_elements(generators):
                     new.append(q)
         frontier = new
     return frozenset(els)
+
+
+def is_normal_subgroup(h, g):
+    """Whether h is normal in g: every generator of h conjugated by every
+    generator of g sifts into h."""
+    return all(x * y * x.inverse() in h for x in g.generators for y in h.generators)

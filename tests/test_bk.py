@@ -21,7 +21,7 @@ from loopkit.bk import (
     standard_inner,
     window_audit,
 )
-from loopkit.errors import ParseError, WitnessNotFoundInWindow
+from loopkit.errors import ParseError
 
 
 def in_subloop(e):
@@ -32,6 +32,7 @@ def in_subloop(e):
 P2 = BKParams(2)
 P3 = BKParams(3)
 P5 = BKParams(5)
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 elements = st.builds(
     BKElement,
@@ -187,24 +188,26 @@ def test_witness_p5_small_window():
     assert standard_inner(params, "LL", x, y, pre) == s0
 
 
-def _witness_or_none(find, params):
-    try:
-        return find(params)
-    except WitnessNotFoundInWindow:
-        return None
+@given(window_a=st.integers(1, 3), window_x=st.integers(1, 8))
+@settings(max_examples=10, deadline=None)
+def test_witness_matches_full_scan(window_a, window_x):
+    for p in PRIMES_TO_31:
+        params = BKParams(p, window_a=window_a, window_x=window_x)
+        assert nonnormal_witness(params) == bk_oracle.nonnormal_witness(params)
 
 
-@given(
-    p=st.sampled_from([2, 3, 5, 7]),
-    window_a=st.integers(1, 4),
-    window_x=st.integers(1, 12),
-)
-@settings(max_examples=40, deadline=None)
-def test_witness_matches_full_scan(p, window_a, window_x):
-    params = BKParams(p, window_a=window_a, window_x=window_x)
-    assert _witness_or_none(nonnormal_witness, params) == _witness_or_none(
-        bk_oracle.nonnormal_witness, params
-    )
+def test_witness_closed_form_on_default_window():
+    for p in PRIMES_TO_31:
+        params = BKParams(p)
+        x, y, s0, pre = nonnormal_witness(params)
+        if p == 2:
+            expected = (BKElement(1, 0), BKElement(1, 0), BKElement(0, 1), BKElement(2, 0))
+        else:
+            expected = (BKElement(1, 0), BKElement(-1, 0), BKElement(0, 1),
+                        BKElement(-p * (p - 1), 1))
+        assert (x, y, s0, pre) == expected
+        assert standard_inner(params, "LL", x, y, pre) == s0
+        assert not in_subloop(pre)
 
 
 @given(
@@ -215,7 +218,7 @@ def test_witness_matches_full_scan(p, window_a, window_x):
 )
 @settings(max_examples=300, deadline=None)
 def test_preimage_first_coordinate_has_period_p_squared(p, x, y, w):
-    # Why the witness scan may stop after p**2 values of w.
+    # The first coordinate of the preimage depends on w only mod p**2.
     params = BKParams(p)
     xy = bk_mul(params, x, y)
 
@@ -227,8 +230,8 @@ def test_preimage_first_coordinate_has_period_p_squared(p, x, y, w):
 
 
 def test_witness_scan_divides_little(monkeypatch):
-    # The full scan divides 227,939 times for p=2; one period of w and
-    # pairs taken in order until the first witness need 4,541.
+    # The witness is stated in closed form; only its replay through
+    # standard_inner divides, once.
     calls = [0]
     ldiv = loopkit.bk.bk_ldiv
 
@@ -238,7 +241,7 @@ def test_witness_scan_divides_little(monkeypatch):
 
     monkeypatch.setattr(loopkit.bk, "bk_ldiv", counting)
     assert nonnormal_witness(P2)[0] == BKElement(1, 0)
-    assert calls[0] <= 10_000
+    assert calls[0] == 1
 
 
 def test_witness_proves_strict_containment():

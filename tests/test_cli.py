@@ -265,6 +265,12 @@ def test_construct_witness_p3(capsys):
     assert line == "x=(1,0) y=(-1,0) s0=(0,1) preimage=(-6,1)"
 
 
+def test_construct_witness_p7(capsys):
+    assert cli.main(["construct", "--p", "7", "witness"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line == "x=(1,0) y=(-1,0) s0=(0,1) preimage=(-42,1)"
+
+
 def test_construct_audit(capsys):
     assert cli.main(["construct", "--p", "3", "audit"]) == 0
     out = capsys.readouterr().out

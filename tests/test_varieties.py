@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import theorem_oracle
 from loop_strategies import loops
-from loopkit import structure, varieties
+from loopkit import perms, structure, varieties
 from loopkit.core import LoopTable, direct_product, isomorphic, opposite, principal_isotope
 from loopkit.errors import LoopError, UnknownVariety
 from loopkit.identities import check_identity
@@ -34,6 +34,7 @@ from theorem_oracle import (
     is_left_pseudoautomorphism,
     is_right_pseudoautomorphism,
 )
+from perms_oracle import is_normal_subgroup
 
 
 class NotAutotopism(LoopError):
@@ -312,6 +313,21 @@ def test_translation_rows_build_no_translation(cc6, m12, monkeypatch):
                 holds = verdict(ctx)
                 assert statuses[check_id] == (
                     ("PASS" if holds else "FAIL") if applies(ctx) else "N/A"), check_id
+
+
+def test_mlt_normality_sifts_agree_with_conjugating_generators(
+        corpus5, classes6, z4, z6, s3, d8, q5, cc6, m12):
+    # Every loop of corpus5 and the named loops has both sides normal; the
+    # order-6 classes bring the loops where a side is not.
+    verdicts = Counter()
+    for _id, q in corpus5 + classes6 + [(None, q) for q in (z4, z6, s3, d8, q5, cc6, m12)]:
+        ctx = varieties._Ctx(q)
+        mlt = perms.mlt(q)
+        for side, build in (("left", perms.mlt_left), ("right", perms.mlt_right)):
+            normal = is_normal_subgroup(build(q), mlt)
+            assert ctx.normal_in_mlt(side) == normal
+            verdicts[normal] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_theorem_suite_marks_inapplicable_rows(q5):
