@@ -18,9 +18,12 @@ generator outside the labeled part and close under multiplication in an
 order that depends only on labels, never on ids.  Each walk labels every
 element: in a finite loop a set closed under multiplication is a subloop,
 because each translation is injective on it and therefore onto.
-``canonical_table`` is the least relabeled table over all walks, an
-invariant that is itself a copy of the loop; ``isomorphic`` searches the
-walks of one loop for the table of the other's.
+``canonical_table`` is the least relabeled table over the walks whose
+generator at each step is an unlabeled element of least translation
+fingerprint.  An isomorphism preserves fingerprints, so it carries these
+walks of one loop onto those of the other, and the table is an invariant
+that is itself a copy of the loop: a complete invariant.  ``isomorphic``
+searches the walks of one loop for the table of the other's.
 """
 
 from __future__ import annotations
@@ -181,26 +184,21 @@ def _translation_fingerprints(q):
 
     Invariant under isomorphism, used to cut the search for one.
     """
-    fps = []
-    for x in range(q.order):
-        fps.append((_cycle_type(q.rows[x]), _cycle_type([q.rows[y][x] for y in range(q.order)])))
-    return fps
+    rows = q.rows
+    return [(_cycle_type(row), _cycle_type(col)) for row, col in zip(rows, zip(*rows))]
 
 
 def _cycle_type(images):
-    n = len(images)
-    seen = [False] * n
+    """Sorted cycle lengths; each cycle is counted from its least element,
+    the one whose walk returns to it before reaching a smaller element."""
     lens = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        k = 0
-        t = s
-        while not seen[t]:
-            seen[t] = True
+    for s, t in enumerate(images):
+        k = 1
+        while t > s:
             t = images[t]
             k += 1
-        lens.append(k)
+        if t == s:
+            lens.append(k)
     lens.sort()
     return tuple(lens)
 
@@ -261,12 +259,17 @@ def _relabeled_rows(q, order, label):
         yield [label[row[y]] for y in order]
 
 
-def canonical_table(q):
-    """The least relabeled table of q over all its walks (see
-    ``canonical_key``); a walk is dropped at its first row that is larger
-    than the best so far."""
+def _least_rows(q):
+    """The rows of ``canonical_table(q)`` (see ``canonical_key``); a walk
+    is dropped at its first row that is larger than the best so far."""
+    fps = _translation_fingerprints(q)
+
+    def least(step, outside):
+        low = min(fps[x] for x in outside)
+        return [x for x in outside if fps[x] == low]
+
     best = None
-    for order, label in _walks(q, lambda step, outside: outside):
+    for order, label in _walks(q, least):
         if best is None:
             best = list(_relabeled_rows(q, order, label))
             continue
@@ -276,17 +279,27 @@ def canonical_table(q):
                 if row < best[i]:
                     best[i:] = [row, *rows]
                 break
-    return LoopTable(best, check=False)
+    return best
+
+
+def canonical_table(q):
+    """The canonical form of q (see ``canonical_key``) as a LoopTable."""
+    return LoopTable(_least_rows(q), check=False)
 
 
 def canonical_key(q):
     """The flattened ``canonical_table``: equal exactly for isomorphic loops.
 
-    An isomorphism q -> q' carries each walk of q to a walk of q' with an
-    equal table, so the key is an invariant; and it is itself a relabeled
-    copy of q, so equal keys mean isomorphic loops.
+    The table is the least relabeled table of q over its walks whose
+    generator at each step is an unlabeled element of least translation
+    fingerprint.  An isomorphism q -> q' preserves fingerprints, so at each
+    step it carries the least-fingerprint elements outside a walk of q onto
+    those outside the image walk of q'; it therefore carries each such walk
+    of q to one of q' with an equal table, and the key is an invariant.
+    The key is itself a relabeled copy of q, so equal keys mean isomorphic
+    loops.
     """
-    return tuple(v for row in canonical_table(q).rows for v in row)
+    return tuple(v for row in _least_rows(q) for v in row)
 
 
 def isomorphic(q1, q2):

@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from math import inf
 
-# canonical_key is imported for callers that take it from this module.
-from .core import LoopTable, canonical_key, canonical_table
+# canonical_key and canonical_table are imported for callers that take
+# them from this module.
+from .core import LoopTable, _least_rows, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator
 from .varieties import check_variety, get_entry, propagation_programs
@@ -307,10 +308,12 @@ def _search_one(
             if check_variety(q, name):
                 return
         if up_to_iso:
-            q = canonical_table(q)
-            if q.rows in seen_canonical:
+            rows = tuple(map(tuple, _least_rows(q)))
+            if rows in seen_canonical:
                 return
-            seen_canonical.add(q.rows)
+            seen_canonical.add(rows)
+            if keep:
+                q = LoopTable(rows, check=False)
         counts[0] += 1
         if keep:
             found.append(q)

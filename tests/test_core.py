@@ -1,11 +1,12 @@
 """Table validation, loop operations, isotopes, isomorphism, io."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import isomorphism_oracle as oracle
 from loop_strategies import loops
+from loopkit import core
 from loopkit.core import (
     LoopTable,
     canonical_key,
@@ -212,6 +213,38 @@ def test_walk_engine_matches_oracle_on_random_loops(data):
     assert _agrees_with_oracle(q1, q2)
     phi = isomorphic(q1, relabeled)
     assert phi is not None and _is_isomorphism(phi, q1, relabeled)
+
+
+def test_canonical_table_walks_only_least_fingerprint_generators(monkeypatch):
+    # Trying every unlabeled generator at each step takes 1,728 and 756 walks.
+    walks = core._walks
+    count = [0]
+
+    def counting(q, pick):
+        for walk in walks(q, pick):
+            count[0] += 1
+            yield walk
+
+    monkeypatch.setattr(core, "_walks", counting)
+    for q, expected in ((dihedral(8), 384), (chein_double(dihedral(3)), 432)):
+        count[0] = 0
+        canonical_table(q)
+        assert count[0] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((7, 8)), st.data())
+def test_canonical_form_on_order7_and_order8_tables(n, data):
+    slices = 64
+    index = data.draw(st.integers(0, slices - 1))
+    found = search(SearchSpec(n, mode="first", shard_slice=(index, slices))).found
+    assume(found)
+    q = found[0]
+    sigma = [0] + data.draw(st.permutations(range(1, n)))
+    assert canonical_key(_relabel(q, sigma)) == canonical_key(q)
+    table = canonical_table(q)
+    phi = isomorphic(q, table)
+    assert phi is not None and _is_isomorphism(phi, q, table)
 
 
 def test_dump_load_round_trip(tmp_path, m12):

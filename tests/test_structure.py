@@ -74,6 +74,28 @@ def test_nuclei_from_inner_mappings_match_scans(q5, s3, cc6, m12, classes6):
         assert right == structure.right_nucleus(q)
 
 
+def _nucleus_from_inner_mappings(q):
+    left, middle, right = nuclei_from_inner_mappings(q)
+    return SubloopSet(q.order, left.mask & middle.mask & right.mask)
+
+
+def test_nucleus_matches_inner_mappings(corpus5, classes6):
+    # The nucleus scans only the left nucleus, so the sample must hold
+    # loops whose left nucleus is larger than the nucleus.
+    larger_left = 0
+    for _id, q in corpus5 + classes6:
+        nuc = structure.nucleus(q)
+        assert nuc == _nucleus_from_inner_mappings(q)
+        larger_left += nuc != structure.left_nucleus(q)
+    assert larger_left > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_nucleus_matches_inner_mappings_on_random_loops(q):
+    assert structure.nucleus(q) == _nucleus_from_inner_mappings(q)
+
+
 def test_subloop_generated(z6, s3):
     assert members(structure.subloop_generated(z6, [2])) == {0, 2, 4}
     assert members(structure.subloop_generated(z6, [1])) == set(range(6))
