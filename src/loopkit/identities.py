@@ -13,7 +13,10 @@ is compiled again, into generated Python, for each of two entry points:
 evaluates one ground instance on a partial table of a given order and
 reports the first cell that blocks it.  The partial evaluator is what
 makes sound search pruning possible: an instance is only judged when
-every cell it reads is filled.
+every cell it reads is filled.  It reads divisions from a position index
+of the partial table, built by ``positions`` and kept up to date by the
+search as cells change, so a division the table already determines is
+one list lookup.
 
 ``nontrivial_assignments`` gives the ground instances worth propagating
 in a search.  It drops every instance whose two sides become the same
@@ -114,9 +117,12 @@ def check_identity(q, prog):
 def partial_evaluator(prog, n):
     """The evaluator of ground instances of ``prog`` on partial tables of order n.
 
-    The evaluator is called as ``evaluate(cells, assign)``, where ``cells``
-    is a row-major flat table with -1 for holes and ``assign`` holds one
-    value per variable.  It returns SAT, VIOLATED, or the first hole c the
+    The evaluator is called as ``evaluate(cells, pos, assign)``, where
+    ``cells`` is a row-major flat table with -1 for holes, ``pos`` is
+    ``positions(cells, n)`` and ``assign`` holds one value per variable.
+    A division whose value is in its row or column is read from ``pos``;
+    only one whose value is absent scans the row or column for its first
+    hole.  It returns SAT, VIOLATED, or the first hole c the
     evaluation needs: the cell of a product, or for a division that no
     filled cell resolves, the first hole of that row or column.  Filling
     cells only moves the blocking cell forward, which is what the search's
@@ -135,6 +141,26 @@ def partial_evaluator(prog, n):
     if evaluate is None:
         evaluate = prog.compiled[n] = _build(_partial_source(prog, n), "evaluate")
     return evaluate
+
+
+def positions(cells, n):
+    """The position index of a row-major order-n table with -1 for holes.
+
+    A flat list of 2*n*n entries: ``pos[r*n + v]`` is the column of the
+    first v in row r, ``pos[n*n + c*n + v]`` the row of the first v in
+    column c, and -1 where v is absent.  So x\\y is ``pos[x*n + y]`` and
+    x/y is ``pos[n*n + y*n + x]`` whenever the table determines them.
+    """
+    n2 = n * n
+    pos = [-1] * (2 * n2)
+    # Backwards, so that the first occurrence is written last.
+    for i in range(n2 - 1, -1, -1):
+        v = cells[i]
+        if v >= 0:
+            r, c = divmod(i, n)
+            pos[r * n + v] = c
+            pos[n2 + c * n + v] = r
+    return pos
 
 
 def nontrivial_assignments(prog, n):
@@ -321,18 +347,16 @@ def _partial_source(prog, n):
                 tail += [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
                          f"    return c if i == c else c + {n * n}"]
             elif op == LDIV:
-                tail += [f"s = {x} * {n}", f"r = cells[s:s + {n}]", f"if {y} not in r:",
-                         f"    return c if s <= c < s + {n} else c + {n * n}",
-                         f"{t} = r.index({y})"]
+                tail += [f"{t} = pos[{_cell(x, y, n)}]", f"if {t} < 0:",
+                         f"    return c if c // {n} == {x} else c + {n * n}"]
             else:
-                tail += [f"r = cells[{y}::{n}]", f"if {x} not in r:",
-                         f"    return c if c % {n} == {y} else c + {n * n}",
-                         f"{t} = r.index({x})"]
+                tail += [f"{t} = pos[{_column_at(x, y, n)}]", f"if {t} < 0:",
+                         f"    return c if c % {n} == {y} else c + {n * n}"]
         if not tail:
             return [f"    return {hole}"]
         return ["    " + s for s in [f"c = {hole}", *tail, "return c"]]
 
-    lines = ["def evaluate(cells, assign):"]
+    lines = ["def evaluate(cells, pos, assign):"]
     if prog.nvars:
         lines.append("    " + "".join(f"v{k}, " for k in range(prog.nvars)) + "= assign")
     for j, (op, a, b) in enumerate(terms):
@@ -343,27 +367,26 @@ def _partial_source(prog, n):
             body = [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
                     *blocked(j, "i")]
         elif op == LDIV:
-            # x\y is the column of the first y in row x.
+            # x\y is the column of the first y in row x.  When row x holds
+            # no y, its first hole blocks the division.
             body = [
-                f"s = {x} * {n}",
-                f"r = cells[s:s + {n}]",
-                f"if {y} in r:",
-                f"    {t} = r.index({y})",
-                "elif -1 in r:",
+                f"{t} = pos[{_cell(x, y, n)}]",
+                f"if {t} < 0:",
+                f"    s = {x} * {n}",
+                f"    r = cells[s:s + {n}]",
+                "    if -1 not in r:",
+                f"        return {VIOLATED}",
                 *blocked(j, "s + r.index(-1)"),
-                "else:",
-                f"    return {VIOLATED}",
             ]
         else:
             # x/y is the row of the first x in column y.
             body = [
-                f"r = cells[{y}::{n}]",
-                f"if {x} in r:",
-                f"    {t} = r.index({x})",
-                "elif -1 in r:",
+                f"{t} = pos[{_column_at(x, y, n)}]",
+                f"if {t} < 0:",
+                f"    r = cells[{y}::{n}]",
+                "    if -1 not in r:",
+                f"        return {VIOLATED}",
                 *blocked(j, f"r.index(-1) * {n} + {y}"),
-                "else:",
-                f"    return {VIOLATED}",
             ]
         lines.extend("    " + s for s in body)
     lines.append(f"    return {SAT} if {expr[lhs]} == {expr[rhs]} else {VIOLATED}")
@@ -373,3 +396,9 @@ def _partial_source(prog, n):
 def _cell(x, y, n):
     """The index of cell (x, y); row 0 needs no multiplication."""
     return y if x == "0" else f"{x} * {n} + {y}"
+
+
+def _column_at(x, y, n):
+    """The index in ``positions`` of the row of the first x in column y."""
+    at = f"{n * n}" if y == "0" else f"{n * n} + {y} * {n}"
+    return at if x == "0" else f"{at} + {x}"

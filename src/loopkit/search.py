@@ -17,6 +17,12 @@ Instances that the loop laws alone make true are dropped at set-up
 violated.  When the partial evaluator flags a blocked instance, the
 instance needs another hole whatever value the blocking cell takes, so no
 value there is tried against it.  Neither changes which nodes are visited.
+
+The evaluators read divisions from a position index of the cells
+(``identities.positions``): for each row and column, where each value
+first occurs.  It is built once per start, after the preseed, and kept
+exact by setting and clearing two entries wherever a node fills or
+undoes a cell and wherever a value trial sets and resets one.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from math import inf
 # them from this module.
 from .core import LoopTable, _least_rows, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
-from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator
+from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator, positions
 from .varieties import check_variety, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
@@ -276,6 +282,9 @@ def _search_one(
         cells[idx] = v
         row_free[r] ^= bit
         col_free[c] ^= bit
+    # The position index of cells, which the evaluators read divisions
+    # from; every change to cells below makes the same change here.
+    pos = positions(cells, n)
 
     # The ground instances of the programs that are not loop-law
     # tautologies, as (evaluator, assignment).  watch[cell] lists the open
@@ -286,7 +295,7 @@ def _search_one(
         instances.extend((evaluate, assign) for assign in nontrivial_assignments(prog, n))
     watch = [[] for _ in range(n2)]
     for i, (evaluate, assign) in enumerate(instances):
-        cell = evaluate(cells, assign)
+        cell = evaluate(cells, pos, assign)
         if cell == VIOLATED:
             return visited
         if cell != SAT:
@@ -298,7 +307,14 @@ def _search_one(
     node_limit = inf if budget_nodes is None else budget_nodes + 1
     check_at = min((nodes | 1023) + 1, node_limit)
 
+    # An unconstrained count of reduced tables reads nothing off its
+    # leaves, so it counts them without building a table.
+    bare = not (keep or required or forbidden or up_to_iso)
+
     def leaf():
+        if bare:
+            counts[0] += 1
+            return
         rows = [cells[i * n : (i + 1) * n] for i in range(n)]
         q = LoopTable(rows)
         for name in required:
@@ -344,6 +360,8 @@ def _search_one(
             return
         idx = best
         r, c = divmod(idx, n)
+        row_at = r * n
+        col_at = n2 + c * n
         mask = best_mask
         while mask:
             bit = mask & -mask
@@ -357,6 +375,8 @@ def _search_one(
                     raise BudgetExceeded(nodes, time.monotonic() - start)
                 check_at = min((nodes | 1023) + 1, node_limit)
             cells[idx] = v
+            pos[row_at + v] = c
+            pos[col_at + v] = r
             row_free[r] ^= bit
             col_free[c] ^= bit
             woken = watch[idx]
@@ -367,7 +387,7 @@ def _search_one(
             ok = True
             for i in woken:
                 evaluate, assign = instances[i]
-                cell = evaluate(cells, assign)
+                cell = evaluate(cells, pos, assign)
                 if cell < 0:
                     if cell == VIOLATED:
                         ok = False
@@ -382,14 +402,21 @@ def _search_one(
                 if not flagged:
                     br, bc = divmod(cell, n)
                     cand = row_free[br] & col_free[bc] & ~excl[cell]
+                    brow = br * n
+                    bcol = n2 + bc * n
                     removed = 0
                     m2 = cand
                     while m2:
                         b2 = m2 & -m2
                         m2 ^= b2
-                        cells[cell] = b2.bit_length() - 1
-                        if evaluate(cells, assign) == VIOLATED:
+                        v2 = b2.bit_length() - 1
+                        cells[cell] = v2
+                        pos[brow + v2] = bc
+                        pos[bcol + v2] = br
+                        if evaluate(cells, pos, assign) == VIOLATED:
                             removed |= b2
+                        pos[brow + v2] = -1
+                        pos[bcol + v2] = -1
                         cells[cell] = -1
                     if removed:
                         excl_trail.append((cell, excl[cell]))
@@ -399,12 +426,14 @@ def _search_one(
                             break
             if ok:
                 dfs()
-            for pos, old in reversed(excl_trail):
-                excl[pos] = old
+            for cell, old in reversed(excl_trail):
+                excl[cell] = old
             for cell in moved:
                 watch[cell].pop()
             watch[idx] = woken
             cells[idx] = -1
+            pos[row_at + v] = -1
+            pos[col_at + v] = -1
             row_free[r] |= bit
             col_free[c] |= bit
 

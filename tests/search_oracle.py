@@ -7,7 +7,7 @@ from itertools import product
 
 from loopkit.core import LoopTable
 from loopkit.errors import InvalidSpec
-from loopkit.identities import VIOLATED, partial_evaluator
+from loopkit.identities import VIOLATED, partial_evaluator, positions
 from loopkit.search import search, shard
 from loopkit.varieties import check_variety, get_entry, propagation_programs
 
@@ -157,11 +157,12 @@ def identity_status(pt, prog):
     """
     n = pt.order
     evaluate = partial_evaluator(prog, n)
+    pos = positions(pt.cells, n)
     first_undet = None
     # Every assignment: the table need not be Latin, so the ones the
     # search drops as loop-law tautologies may still be violated here.
     for assign in product(range(n), repeat=prog.nvars):
-        cell = evaluate(pt.cells, assign)
+        cell = evaluate(pt.cells, pos, assign)
         if cell == VIOLATED:
             return "violated", None
         if cell >= 0 and first_undet is None:

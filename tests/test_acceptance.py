@@ -65,15 +65,20 @@ def test_criterion_2_osborn_search_scaled(capsys):
             forbidden=("cc", "moufang"),
             mode="count",
         )
-        counts[order] = search(spec).count
+        res = search(spec)
+        counts[order] = res.count
+    # Propagation decides the nodes; a faster evaluator must not move them.
+    visited7 = res.visited
     elapsed = time.monotonic() - start
-    ok = all(c == 0 for c in counts.values()) and elapsed <= 600.0
+    ok = all(c == 0 for c in counts.values()) and visited7 == 18871 and elapsed <= 600.0
     _report(
         capsys,
         f"criterion 2 scaled osborn search: {'PASS' if ok else 'FAIL'} "
-        f"(orders 1-7 all zero: {all(c == 0 for c in counts.values())}, {elapsed:.1f}s)",
+        f"(orders 1-7 all zero: {all(c == 0 for c in counts.values())}, "
+        f"order-7 nodes: {visited7}, {elapsed:.1f}s)",
     )
     assert counts == {n: 0 for n in range(1, 8)}
+    assert visited7 == 18871
     assert elapsed <= 600.0
 
 

@@ -19,6 +19,7 @@ from loopkit.identities import (
     compile_identity,
     nontrivial_assignments,
     partial_evaluator,
+    positions,
 )
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import CATALOG
@@ -97,18 +98,18 @@ def test_eval_partial_blocks_on_first_needed_hole():
     # Row 0 filled (identity), row 1 filled, row 2 empty.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
     # Needs (1*2) = cell 5 (known) and (2*1) = cell 7 (hole).
-    assert _cell_of(partial_evaluator(COMM, n)(cells, (1, 2)), n) == 2 * n + 1
+    assert _cell_of(partial_evaluator(COMM, n)(cells, positions(cells, n), (1, 2)), n) == 2 * n + 1
     assert _oracle_result(COMM, cells, n, (1, 2)) == 2 * n + 1
 
 
 def test_eval_partial_judges_filled_instances():
     n = 3
     cells = _partial_from([[0, 1, 2], [1, 2, 0], [2, 0, 1]], n)
-    assert partial_evaluator(COMM, n)(cells, (1, 2)) == SAT
-    assert partial_evaluator(ASSOC, n)(cells, (1, 1, 1)) == SAT
+    assert partial_evaluator(COMM, n)(cells, positions(cells, n), (1, 2)) == SAT
+    assert partial_evaluator(ASSOC, n)(cells, positions(cells, n), (1, 1, 1)) == SAT
     bad = _partial_from([[0, 1, 2], [1, 0, 2], [2, 1, 0]], n)
     # 1*2 = 2 but 2*1 = 1 in this (non-Latin) grid.
-    assert partial_evaluator(COMM, n)(bad, (1, 2)) == VIOLATED
+    assert partial_evaluator(COMM, n)(bad, positions(bad, n), (1, 2)) == VIOLATED
 
 
 def test_eval_partial_division_scans():
@@ -116,14 +117,16 @@ def test_eval_partial_division_scans():
     # Row 1 has no cell equal to 0 yet; 1\0 blocks on the first hole.
     cells = _partial_from([[0, 1, 2], [1, -1, -1]], n)
     ldiv_prog = compile_identity("(x\\e) = y")
-    assert _cell_of(partial_evaluator(ldiv_prog, n)(cells, (1, 0)), n) == 1 * n + 1
+    ldiv = partial_evaluator(ldiv_prog, n)
+    assert _cell_of(ldiv(cells, positions(cells, n), (1, 0)), n) == 1 * n + 1
     # Once the row is complete the division resolves.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
-    assert partial_evaluator(ldiv_prog, n)(cells, (1, 2)) == SAT
+    assert ldiv(cells, positions(cells, n), (1, 2)) == SAT
     # Column 1 has no cell equal to 2 yet; 2/1 blocks on its first hole.
     cells = _partial_from([[0, 1, 2], [1, 0, 2], [2, -1, -1]], n)
     rdiv_prog = compile_identity("(x/y) = z")
-    assert _cell_of(partial_evaluator(rdiv_prog, n)(cells, (2, 1, 0)), n) == 2 * n + 1
+    rdiv = partial_evaluator(rdiv_prog, n)
+    assert _cell_of(rdiv(cells, positions(cells, n), (2, 1, 0)), n) == 2 * n + 1
 
 
 def test_eval_partial_division_violated_when_row_full():
@@ -131,11 +134,28 @@ def test_eval_partial_division_violated_when_row_full():
     # Row 1 is complete, so 1\2 resolves to 1; the identity wants y = 0.
     cells = _partial_from([[0, 1, 2], [1, 2, 0]], n)
     prog = compile_identity("(x\\z) = y")
-    assert partial_evaluator(prog, n)(cells, (1, 0, 2)) == VIOLATED
+    assert partial_evaluator(prog, n)(cells, positions(cells, n), (1, 0, 2)) == VIOLATED
     # Row 1 of this non-Latin grid has no hole and no 2: 1\2 never resolves.
     cells = _partial_from([[0, 1, 2], [1, 0, 0]], n)
-    assert partial_evaluator(prog, n)(cells, (1, 0, 2)) == VIOLATED
+    assert partial_evaluator(prog, n)(cells, positions(cells, n), (1, 0, 2)) == VIOLATED
     assert _oracle_result(prog, cells, n, (1, 0, 2)) == VIOLATED
+
+
+def test_positions_keep_the_first_occurrence():
+    n = 3
+    # Row 1 holds 0 twice and no 2; column 2 holds 0 twice and no 1.
+    cells = _partial_from([[0, 1, 2], [1, 0, 0], [2, -1, 0]], n)
+    pos = positions(cells, n)
+    assert len(pos) == 2 * n * n
+    for r in range(n):
+        row = cells[r * n:(r + 1) * n]
+        column = cells[r::n]
+        for v in range(n):
+            assert pos[r * n + v] == (row.index(v) if v in row else -1)
+            assert pos[n * n + r * n + v] == (column.index(v) if v in column else -1)
+    # 1\0 reads the first 0 of row 1, at column 1.
+    prog = compile_identity("(x\\y) = z")
+    assert partial_evaluator(prog, n)(cells, pos, (1, 0, 1)) == SAT
 
 
 def test_compiled_functions_are_cached_per_order():
@@ -175,8 +195,9 @@ def test_compiled_partial_evaluator_matches_oracle(data):
     cells = data.draw(st.lists(st.integers(-1, n - 1), min_size=n * n, max_size=n * n))
     prog = data.draw(st.sampled_from(PROGRAMS))
     evaluate = partial_evaluator(prog, n)
+    pos = positions(cells, n)
     for assign in product(range(n), repeat=prog.nvars):
-        result = _cell_of(evaluate(cells, assign), n)
+        result = _cell_of(evaluate(cells, pos, assign), n)
         assert result == _oracle_result(prog, cells, n, assign), prog.source
 
 
@@ -189,8 +210,9 @@ def test_flagged_instances_stay_undetermined(grid, data):
     n, cells = grid
     prog = data.draw(st.sampled_from(PROGRAMS))
     evaluate = partial_evaluator(prog, n)
+    pos = positions(cells, n)
     for assign in product(range(n), repeat=prog.nvars):
-        result = evaluate(cells, assign)
+        result = evaluate(cells, pos, assign)
         if result < n * n:
             continue
         cell = result - n * n

@@ -11,7 +11,7 @@ import pytest
 
 from loopkit.core import LoopTable, direct_product, isomorphic
 from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
-from loopkit.identities import compile_identity, nontrivial_assignments
+from loopkit.identities import compile_identity, nontrivial_assignments, positions
 from loopkit.search import (
     SearchSpec,
     canonical_key,
@@ -59,6 +59,11 @@ def test_reduced_counts_match_naive_oracle():
         naive = enumerate_reduced_naive(order)
         assert len(naive) == expected
         assert count_reduced(order) == expected
+    # A leaf-only requirement or a forbidden name is decided on a table
+    # built at each leaf; the unconstrained count builds none.
+    for required, forbidden in ((("gloop",), ()), ((), ("associative",))):
+        naive = enumerate_reduced_naive(5, required=required, forbidden=forbidden)
+        assert count_reduced(5, required, forbidden) == len(naive) < 56
 
 
 def test_full_table_sets_match_naive_oracle():
@@ -133,6 +138,8 @@ def test_modes_are_consistent():
     assert len(first.found) == 1
     assert not first.complete
     assert first.found[0].rows in [q.rows for q in collected.found]
+    # The collect checks each table it builds.
+    assert count_reduced(6) == len(search(SearchSpec(6, mode="collect")).found) == 9408
 
 
 @pytest.mark.parametrize(
@@ -142,6 +149,12 @@ def test_modes_are_consistent():
         (5, ("moufang",), (), "collect", 6, 93),
         (6, ("buchsteiner",), (), "count", 120, 3355),
         (6, ("cc",), ("associative",), "count", 40, 2963),
+        # Screens whose programs divide most.
+        (6, ("aaip",), (), "count", 316, 10672),
+        (6, ("wip",), (), "count", 240, 8701),
+        (6, ("vd",), (), "count", 120, 3579),
+        (6, ("gen_moufang",), (), "count", 120, 10424),
+        (6, ("lip",), (), "count", 316, 4462),
     ],
 )
 def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited):
@@ -166,9 +179,9 @@ def test_search_makes_no_futile_evaluator_calls(monkeypatch):
     def counting(prog, n):
         evaluate = real(prog, n)
 
-        def counted(cells, assign):
+        def counted(cells, pos, assign):
             calls[0] += 1
-            return evaluate(cells, assign)
+            return evaluate(cells, pos, assign)
 
         return counted
 
@@ -176,6 +189,35 @@ def test_search_makes_no_futile_evaluator_calls(monkeypatch):
     res = search(SearchSpec(6, ("osborn",), ("cc", "moufang"), mode="count"))
     assert res.count == 0
     assert 0 < calls[0] <= 700_000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SearchSpec(5, (name,), mode="count") for name in ("osborn", "aaip", "vd", "wip", "ip")]
+    + [SearchSpec(6, ("osborn",), ("cc", "moufang"), mode="count", shard_slice=(1, 4))],
+    ids=["osborn5", "aaip5", "vd5", "wip5", "ip5", "osborn6-slice"],
+)
+def test_position_index_follows_the_cells(monkeypatch, spec):
+    # Every evaluator call, at set-up, in the wake and in value trials,
+    # sees the index of the cells it is given.  The order-6 slice starts
+    # from row-1 preseeds.
+    search_module = importlib.import_module("loopkit.search")
+    real = search_module.partial_evaluator
+    calls = [0]
+
+    def checking(prog, n):
+        evaluate = real(prog, n)
+
+        def checked(cells, pos, assign):
+            calls[0] += 1
+            assert pos == positions(cells, n)
+            return evaluate(cells, pos, assign)
+
+        return checked
+
+    monkeypatch.setattr(search_module, "partial_evaluator", checking)
+    search(spec)
+    assert calls[0] > 0
 
 
 def test_identity_status_keeps_tautologies_on_non_latin_grids():
