@@ -9,8 +9,10 @@ Conventions used everywhere in this package:
 * ``left_inv(x)`` is ``rdiv(0, x)`` and ``right_inv(x)`` is ``ldiv(x, 0)``;
 * tables are immutable once built and may be shared freely.
 
-Division tables are precomputed at construction, so all element level
-operations are O(1) lookups.
+Division tables are built on first use, by ``LoopTable.divisions``, and
+kept: a table that is only multiplied, keyed or scanned for its nuclei
+never builds them.  After that, every element level operation is an O(1)
+lookup.
 
 Canonical forms and isomorphism share one labeling engine, the walk: label
 0, then, until every element has a label, give the next label to a
@@ -52,37 +54,42 @@ class LoopTable:
             _check_table(rows, max_order if max_order is not None else MAX_ORDER)
         self.order = len(rows)
         self.rows = rows
-        n = self.order
-        ldiv = [[0] * n for _ in range(n)]
-        rdiv = [[0] * n for _ in range(n)]
-        for x in range(n):
-            row = rows[x]
-            for z in range(n):
-                ldiv[x][row[z]] = z
-        for y in range(n):
-            for z in range(n):
-                rdiv[rows[z][y]][y] = z
-        self._ldiv = tuple(tuple(r) for r in ldiv)
-        self._rdiv = tuple(tuple(r) for r in rdiv)
+        self._ldiv = self._rdiv = None
+
+    def divisions(self):
+        """The division tables ``(ldiv, rdiv)``, built on first use:
+        ``ldiv[x][y]`` is x\\y and ``rdiv[x][y]`` is x/y."""
+        if self._ldiv is None:
+            rows = self.rows
+            ld = [[0] * self.order for _ in rows]
+            rd = [[0] * self.order for _ in rows]
+            for x, row in enumerate(rows):
+                ldx = ld[x]
+                for y, v in enumerate(row):  # x*y == v
+                    ldx[v] = y
+                    rd[v][y] = x
+            self._ldiv = tuple(map(tuple, ld))
+            self._rdiv = tuple(map(tuple, rd))
+        return self._ldiv, self._rdiv
 
     def mul(self, x, y):
         return self.rows[x][y]
 
     def ldiv(self, x, y):
         """The unique z with x*z == y."""
-        return self._ldiv[x][y]
+        return (self._ldiv or self.divisions()[0])[x][y]
 
     def rdiv(self, x, y):
         """The unique z with z*y == x."""
-        return self._rdiv[x][y]
+        return (self._rdiv or self.divisions()[1])[x][y]
 
     def left_inv(self, x):
         """x^lambda: the unique z with z*x == 0."""
-        return self._rdiv[0][x]
+        return (self._rdiv or self.divisions()[1])[0][x]
 
     def right_inv(self, x):
         """x^rho: the unique z with x*z == 0."""
-        return self._ldiv[x][0]
+        return (self._ldiv or self.divisions()[0])[x][0]
 
     def L(self, x):
         """Left translation y -> x*y as a permutation."""
@@ -172,10 +179,12 @@ def principal_isotope(q, a, b):
     sigma = list(range(n))
     sigma[0], sigma[e] = e, 0
     rows = [[0] * n for _ in range(n)]
+    ld, rd = q.divisions()
+    lda = ld[a]
     for x in range(n):
-        xb = q._rdiv[x][b]
+        xb_row = q.rows[rd[x][b]]
         for y in range(n):
-            rows[sigma[x]][sigma[y]] = sigma[q.rows[xb][q._ldiv[a][y]]]
+            rows[sigma[x]][sigma[y]] = sigma[xb_row[lda[y]]]
     return LoopTable(tuple(tuple(r) for r in rows), check=False)
 
 

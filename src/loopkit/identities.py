@@ -111,7 +111,7 @@ def check_identity(q, prog):
     check = prog.compiled.get(None)
     if check is None:
         check = prog.compiled[None] = _build(_full_source(prog), "check")
-    return check(q.rows, q._ldiv, q._rdiv, range(q.order))
+    return check(q.rows, *q.divisions(), range(q.order))
 
 
 def partial_evaluator(prog, n):

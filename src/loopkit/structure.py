@@ -1,7 +1,14 @@
 """Subloops, nuclei, center, normality, quotients, nilpotency.
 
-Nuclei are computed by the O(n^3) definition scan; ``nucleus`` scans the
-middle and right laws only on members of the left nucleus.
+A subset that holds 0 and is closed under multiplication is a subloop:
+in a finite loop each translation maps it injectively into, hence onto,
+itself, so it is closed under both divisions too.  Subloops are therefore
+read off the multiplication table alone.
+
+Nuclei are computed by the O(n^3) definition scan.  Each law holds by the
+loop laws when a, x or y is 0, so every scan counts 0 as a member and
+tests only nonzero a, x and y; ``nucleus`` scans the middle and right laws
+only on members of the left nucleus.
 
 Normality is decided by the standard generators of Inn Q alone, read off
 the tables.  That is exact for finite loops: a generator that maps a
@@ -55,46 +62,47 @@ class SubloopSet:
 
 
 def is_subloop(q, s):
-    """Closure of the subset under mul, ldiv and rdiv, with 0 present."""
+    """Whether the subset holds 0 and is closed under multiplication,
+    which in a finite loop makes it closed under both divisions."""
     if 0 not in s:
         return False
-    mem = s.members()
-    for x in mem:
-        for y in mem:
-            if q.mul(x, y) not in s or q.ldiv(x, y) not in s or q.rdiv(x, y) not in s:
-                return False
-    return True
+    rows, mask, mem = q.rows, s.mask, s.members()
+    return all(mask >> rows[x][y] & 1 for x in mem for y in mem)
 
 
 def left_nucleus(q):
-    n = q.order
+    """N_lambda: the a with a(xy) = (ax)y for all x, y."""
     rows = q.rows
-    out = []
-    for a in range(n):
+    inner = range(1, q.order)
+    out = [0]
+    for a in inner:
         arow = rows[a]
-        if all(arow[rows[x][y]] == rows[arow[x]][y] for x in range(n) for y in range(n)):
+        if all(arow[rows[x][y]] == rows[arow[x]][y] for x in inner for y in inner):
             out.append(a)
-    return SubloopSet.from_members(n, out)
+    return SubloopSet.from_members(q.order, out)
 
 
 def middle_nucleus(q):
-    n = q.order
+    """N_mu: the a with x(ay) = (xa)y for all x, y."""
     rows = q.rows
-    out = []
-    for a in range(n):
-        if all(rows[x][rows[a][y]] == rows[rows[x][a]][y] for x in range(n) for y in range(n)):
+    inner = range(1, q.order)
+    out = [0]
+    for a in inner:
+        arow = rows[a]
+        if all(rows[x][arow[y]] == rows[rows[x][a]][y] for x in inner for y in inner):
             out.append(a)
-    return SubloopSet.from_members(n, out)
+    return SubloopSet.from_members(q.order, out)
 
 
 def right_nucleus(q):
-    n = q.order
+    """N_rho: the a with x(ya) = (xy)a for all x, y."""
     rows = q.rows
-    out = []
-    for a in range(n):
-        if all(rows[x][rows[y][a]] == rows[rows[x][y]][a] for x in range(n) for y in range(n)):
+    inner = range(1, q.order)
+    out = [0]
+    for a in inner:
+        if all(rows[x][rows[y][a]] == rows[rows[x][y]][a] for x in inner for y in inner):
             out.append(a)
-    return SubloopSet.from_members(n, out)
+    return SubloopSet.from_members(q.order, out)
 
 
 def nucleus(q):
@@ -116,21 +124,24 @@ def nucleus(q):
 
 
 def center(q):
-    nuc = nucleus(q)
-    n = q.order
-    out = [a for a in nuc.members() if all(q.mul(a, x) == q.mul(x, a) for x in range(n))]
-    return SubloopSet.from_members(n, out)
+    """The members of the nucleus whose row equals their column."""
+    rows = q.rows
+    out = [a for a in nucleus(q).members() if rows[a] == tuple(row[a] for row in rows)]
+    return SubloopSet.from_members(q.order, out)
 
 
 def subloop_generated(q, seed):
-    """Smallest subloop containing the seed ids (worklist closure)."""
+    """Smallest subloop containing the seed ids: the closure of the seed
+    and 0 under multiplication (worklist)."""
+    rows = q.rows
     mem = {0}
     mem.update(seed)
     work = list(mem)
     while work:
         x = work.pop()
+        xrow = rows[x]
         for y in tuple(mem):
-            for z in (q.mul(x, y), q.mul(y, x), q.ldiv(x, y), q.ldiv(y, x), q.rdiv(x, y), q.rdiv(y, x)):
+            for z in (xrow[y], rows[y][x]):
                 if z not in mem:
                     mem.add(z)
                     work.append(z)
@@ -183,7 +194,7 @@ def is_normal_subloop(q, s):
     """
     if not is_subloop(q, s):
         raise NotASubloop(f"{s!r} is not a subloop")
-    rows, ld, rd = q.rows, q._ldiv, q._rdiv
+    rows, (ld, rd) = q.rows, q.divisions()
     mask, mem = s.mask, s.members()
     for x in range(q.order):
         xrow, xld = rows[x], ld[x]

@@ -14,7 +14,7 @@ UNDET, SAT, VIOLATED = range(3)
 
 def holds_at(q, prog, assign):
     """Evaluate one ground instance on a full table."""
-    rows, ld, rd = q.rows, q._ldiv, q._rdiv
+    rows, (ld, rd) = q.rows, q.divisions()
     regs = []
     push = regs.append
     for op, a, b in prog.ops:

@@ -32,6 +32,16 @@ def loops(draw, order=None):
     return LoopTable(rows)
 
 
+def relabel(q, sigma):
+    """q with each x renamed sigma[x]; sigma fixes 0."""
+    n = q.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[sigma[x]][sigma[y]] = sigma[q.mul(x, y)]
+    return LoopTable(rows)
+
+
 @st.composite
 def partial_latin_grids(draw, max_order=5):
     """(n, cells): a flat order-n grid with identity row and column and a

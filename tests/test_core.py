@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import isomorphism_oracle as oracle
-from loop_strategies import loops
+from division_oracle import division_tables
+from loop_strategies import loops, relabel
 from loopkit import core
 from loopkit.core import (
     LoopTable,
@@ -87,6 +88,47 @@ def test_one_sided_inverses(q5):
         assert q5.mul(q5.left_inv(x), x) == 0
 
 
+def _check_divisions(t, first, args):
+    """t's divisions, first read through ``first``, against the eager
+    reference and the equations they solve."""
+    assert t._ldiv is None and t._rdiv is None
+    getattr(t, first)(*args[: 2 if first.endswith("div") else 1])
+    ldiv, rdiv = division_tables(t)
+    assert t.divisions() == (tuple(map(tuple, ldiv)), tuple(map(tuple, rdiv)))
+    n = t.order
+    for x in range(n):
+        assert t.left_inv(x) == rdiv[0][x] and t.right_inv(x) == ldiv[x][0]
+        for y in range(n):
+            assert t.ldiv(x, y) == ldiv[x][y] and t.rdiv(x, y) == rdiv[x][y]
+            assert t.mul(x, t.ldiv(x, y)) == y and t.mul(t.rdiv(x, y), y) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.data())
+def test_lazy_divisions_match_eager_reference(q, data):
+    elem = st.integers(0, q.order - 1)
+    a, b, x, y = (data.draw(elem) for _ in range(4))
+    first = data.draw(st.sampled_from(("ldiv", "rdiv", "left_inv", "right_inv")))
+    for t in (q, canonical_table(q)):
+        _check_divisions(t, first, (x, y))
+    # principal_isotope reads q's divisions, so it runs after q's check.
+    _check_divisions(principal_isotope(q, a, b), first, (x, y))
+
+
+def test_keys_and_collect_leaves_build_no_division_tables(q5, monkeypatch):
+    iso = principal_isotope(q5, 2, 3)
+
+    def refuse(self):
+        raise AssertionError("a division table was built")
+
+    monkeypatch.setattr(LoopTable, "divisions", refuse)
+    canonical_key(iso)
+    assert iso._ldiv is None and iso._rdiv is None
+    res = search(SearchSpec(order=5, mode="collect", isomorphs="up_to_iso"))
+    assert res.count == 6
+    assert all(q._ldiv is None and q._rdiv is None for q in res.found)
+
+
 def test_translations_act_as_table(q5):
     for x in range(q5.order):
         for y in range(q5.order):
@@ -147,16 +189,6 @@ def test_isomorphic_rejects_order_mismatch(z4, z6):
         isomorphic(z4, z6)
 
 
-def _relabel(q, sigma):
-    """q with each x renamed sigma[x]; sigma fixes 0."""
-    n = q.order
-    rows = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            rows[sigma[x]][sigma[y]] = sigma[q.mul(x, y)]
-    return LoopTable(rows)
-
-
 def _is_isomorphism(phi, q1, q2):
     return all(
         phi(q1.mul(x, y)) == q2.mul(phi(x), phi(y)) for x in q1.elements() for y in q1.elements()
@@ -204,7 +236,7 @@ def test_walk_engine_matches_oracle_on_random_loops(data):
     n = q1.order
     q2 = data.draw(loops(order=n))
     sigma = [0] + data.draw(st.permutations(range(1, n)))
-    relabeled = _relabel(q1, sigma)
+    relabeled = relabel(q1, sigma)
     assert canonical_key(relabeled) == canonical_key(q1)
     assert (canonical_key(q1) == canonical_key(q2)) == (
         oracle.canonical_key(q1) == oracle.canonical_key(q2)
@@ -241,7 +273,7 @@ def test_canonical_form_on_order7_and_order8_tables(n, data):
     assume(found)
     q = found[0]
     sigma = [0] + data.draw(st.permutations(range(1, n)))
-    assert canonical_key(_relabel(q, sigma)) == canonical_key(q)
+    assert canonical_key(relabel(q, sigma)) == canonical_key(q)
     table = canonical_table(q)
     phi = isomorphic(q, table)
     assert phi is not None and _is_isomorphism(phi, q, table)

@@ -1,9 +1,13 @@
 """Subloops, nuclei, center, normality, quotients, nilpotency."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loop_strategies import loops
+import subloop_oracle
+from loop_strategies import loops, relabel
 from loopkit import perms, structure
 from loopkit.core import isomorphic
 from loopkit.errors import NotASubloop, NotNormal
@@ -91,9 +95,18 @@ def test_nucleus_matches_inner_mappings(corpus5, classes6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(loops())
-def test_nucleus_matches_inner_mappings_on_random_loops(q):
-    assert structure.nucleus(q) == _nucleus_from_inner_mappings(q)
+@given(loops(), st.data())
+def test_nucleus_matches_inner_mappings_on_random_loops(classes6, q, data):
+    # Few random loops have nuclei that differ, so each example also takes
+    # a randomly relabeled order-6 class; 25 of the 109 have such nuclei.
+    _id, c = data.draw(st.sampled_from(classes6))
+    sigma = [0] + data.draw(st.permutations(range(1, 6)))
+    for p in (q, relabel(c, sigma)):
+        left, middle, right = nuclei_from_inner_mappings(p)
+        assert structure.left_nucleus(p) == left
+        assert structure.middle_nucleus(p) == middle
+        assert structure.right_nucleus(p) == right
+        assert structure.nucleus(p) == SubloopSet(p.order, left.mask & middle.mask & right.mask)
 
 
 def test_subloop_generated(z6, s3):
@@ -102,6 +115,27 @@ def test_subloop_generated(z6, s3):
     assert members(structure.subloop_generated(s3, [3])) == {0, 3}
     assert members(structure.subloop_generated(s3, [1])) == {0, 1, 2}
     assert members(structure.subloop_generated(s3, ())) == {0}
+
+
+def test_subloops_match_method_oracle(corpus5, classes6):
+    # Every seed of one or two ids; a closure that misses products in one
+    # order differs on 8 of these seeds in the order-6 classes.
+    for _id, q in corpus5 + classes6:
+        for seed in itertools.chain(*(itertools.combinations(range(1, q.order), k) for k in (1, 2))):
+            generated = structure.subloop_generated(q, seed)
+            assert generated == subloop_oracle.subloop_generated(q, seed)
+            assert structure.is_subloop(q, generated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.data())
+def test_subloops_match_method_oracle_on_random_subsets(q, data):
+    subset = data.draw(st.sets(st.integers(0, q.order - 1)))
+    s = SubloopSet.from_members(q.order, subset)
+    generated = structure.subloop_generated(q, subset)
+    assert generated == subloop_oracle.subloop_generated(q, subset)
+    assert structure.is_subloop(q, generated)
+    assert structure.is_subloop(q, s) == subloop_oracle.is_subloop(q, s)
 
 
 def test_subloop_table_extracts_cyclic_part(z6):
