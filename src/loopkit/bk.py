@@ -118,23 +118,16 @@ def bk_ldiv(params, u, w):
 
 
 def bk_rdiv(params, w, v):
-    """The unique u with u * v = w; mirror of bk_ldiv."""
-    p = params.p
-    b, c = v.a, w.a
-    if c % p != 0 or b % p == 0:
-        u = BKElement(c - b, w.x - v.x)
-    else:
-        p2 = p * p
-        b2, rb = divmod(v.a, p2)
-        low = (-b) % p
-        s = (rb + low) // p
-        index = w.x % p
-        j = (index + 1 - s) % p
-        a = (c // p - b2) * p2 + p * j + low
-        u = BKElement(a, w.x // p - v.x)
-    if bk_mul(params, u, v) != w:
-        raise Inconsistent(f"division failed: {w} / {v}")
-    return u
+    """The unique u with u * v = w, which is v \\ w.
+
+    M is commutative, so one division routine serves both sides: bk_mul
+    is symmetric in u and v.  Its branch test, p | a+b with p not dividing
+    a, is symmetric, since when p divides a + b it divides a exactly when
+    it divides b.  Each branch's coordinates are symmetric too: a + b and
+    u.x + v.x, or p*(a//p**2 + b//p**2) and p*(u.x + v.x) + ((a+b-p)//p
+    mod p).  So u * v = w exactly when v * u = w.
+    """
+    return bk_ldiv(params, v, w)
 
 
 def standard_inner(params, kind, x, y, s):

@@ -20,9 +20,10 @@ value there is tried against it.  Neither changes which nodes are visited.
 
 The evaluators read divisions from a position index of the cells
 (``identities.positions``): for each row and column, where each value
-first occurs.  It is built once per start, after the preseed, and kept
-exact by setting and clearing two entries wherever a node fills or
-undoes a cell and wherever a value trial sets and resets one.
+first occurs.  It is built once per row-1 preseed and kept exact by
+setting and clearing two entries wherever a node fills or undoes a cell
+and wherever a value trial sets and resets one.  The ground instances
+are built once per slice.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from math import inf
 
-# canonical_key and canonical_table are imported for callers that take
-# them from this module.
-from .core import LoopTable, _least_rows, canonical_key, canonical_table
+# canonical_key is imported for callers that take it from this module,
+# such as perfbench.
+from .core import LoopTable, _least_rows, canonical_key
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator, positions
 from .varieties import check_variety, get_entry, propagation_programs
@@ -117,18 +118,6 @@ class SearchResult:
 # the engine
 
 
-def _split_constraints(names):
-    """Partition variety names into (propagation programs, leaf-only names)."""
-    progs = []
-    leaf_only = []
-    for name in names:
-        try:
-            progs.extend(propagation_programs(name))
-        except ValueError:
-            leaf_only.append(name)
-    return progs, leaf_only
-
-
 class _Stop(Exception):
     pass
 
@@ -196,124 +185,57 @@ def _slice_worker(spec, budget_nodes, budget_seconds, start):
 
 
 def _search_slice(spec, budget_nodes, budget_seconds, start):
-    """The search of ``spec`` in this process, with ``spec.shards`` == 1."""
+    """The search of ``spec`` in this process, with ``spec.shards`` == 1.
+
+    The instances are built once.  Each row-1 preseed of the slice then
+    starts from a fresh table, position index and watch lists, and the node
+    count runs on across the preseeds.
+    """
     n = spec.order
+    n2 = n * n
     required = tuple(spec.required)
     forbidden = tuple(spec.forbidden)
-    progs, _leaf_required = _split_constraints(required)
     up_to_iso = spec.isomorphs == "up_to_iso"
     keep = spec.mode != "count"
-    found_limit = 1 if spec.mode == "first" else None
-
-    found = []
-    seen_canonical = set()
-    counts = [0]
-    visited = 0
+    first = spec.mode == "first"
 
     preseeds = [()]
     if spec.shard_slice and spec.shard_slice[1] > 1:
-        index, count = spec.shard_slice
-        prefixes, _length = _row1_prefixes(n, count)
+        index, k = spec.shard_slice
         preseeds = [
             [(n + 1 + j, v) for j, v in enumerate(p)]
-            for i, p in enumerate(prefixes)
-            if i % count == index
+            for i, p in enumerate(_row1_prefixes(n, k))
+            if i % k == index
         ]
 
-    for preseed in preseeds:
-        visited = _search_one(
-            n,
-            preseed,
-            progs,
-            required,
-            forbidden,
-            up_to_iso,
-            keep,
-            found,
-            counts,
-            seen_canonical,
-            visited,
-            start,
-            budget_nodes,
-            budget_seconds,
-            found_limit,
-        )
-        if found_limit is not None and counts[0] >= found_limit:
-            break
-
-    elapsed = time.monotonic() - start
-    complete = found_limit is None or counts[0] < found_limit
-    return SearchResult(n, found, counts[0], visited, elapsed, complete, spec.shard_slice)
-
-
-def _search_one(
-    n,
-    preseed,
-    progs,
-    required,
-    forbidden,
-    up_to_iso,
-    keep,
-    found,
-    counts,
-    seen_canonical,
-    visited,
-    start,
-    budget_nodes,
-    budget_seconds,
-    found_limit,
-):
-    n2 = n * n
-    cells = [-1] * n2
-    for j in range(n):
-        cells[j] = j
-        cells[j * n] = j
-    full = (1 << n) - 1
-    row_free = [0] + [full & ~(1 << i) for i in range(1, n)]
-    col_free = [0] + [full & ~(1 << j) for j in range(1, n)]
-    excl = [0] * n2
-    interior = [i * n + j for i in range(1, n) for j in range(1, n)]
-
-    for idx, v in preseed:
-        r, c = divmod(idx, n)
-        bit = 1 << v
-        if cells[idx] >= 0 or not (row_free[r] & col_free[c] & bit):
-            return visited
-        cells[idx] = v
-        row_free[r] ^= bit
-        col_free[c] ^= bit
-    # The position index of cells, which the evaluators read divisions
-    # from; every change to cells below makes the same change here.
-    pos = positions(cells, n)
-
-    # The ground instances of the programs that are not loop-law
-    # tautologies, as (evaluator, assignment).  watch[cell] lists the open
-    # instances blocked on that cell, each instance in exactly one list.
+    # The ground instances of the required programs that are not loop-law
+    # tautologies, as (evaluator, assignment).  An entry with a predicate
+    # has no programs and is only checked at the leaves.
+    progs = [prog for name in required if get_entry(name).predicate is None
+             for prog in propagation_programs(name)]
     instances = []
     for prog in progs:
         evaluate = partial_evaluator(prog, n)
         instances.extend((evaluate, assign) for assign in nontrivial_assignments(prog, n))
-    watch = [[] for _ in range(n2)]
-    for i, (evaluate, assign) in enumerate(instances):
-        cell = evaluate(cells, pos, assign)
-        if cell == VIOLATED:
-            return visited
-        if cell != SAT:
-            watch[cell % n2].append(i)
 
+    found = []
+    seen_canonical = set()
+    count = 0
     # The seconds budget is read every 1,024 nodes, the node budget at its
     # exact count.
-    nodes = visited
+    nodes = 0
     node_limit = inf if budget_nodes is None else budget_nodes + 1
-    check_at = min((nodes | 1023) + 1, node_limit)
+    full = (1 << n) - 1
+    interior = [i * n + j for i in range(1, n) for j in range(1, n)]
 
     # An unconstrained count of reduced tables reads nothing off its
     # leaves, so it counts them without building a table.
     bare = not (keep or required or forbidden or up_to_iso)
 
     def leaf():
+        nonlocal count
         if bare:
-            counts[0] += 1
+            count += 1
             return
         rows = [cells[i * n : (i + 1) * n] for i in range(n)]
         q = LoopTable(rows)
@@ -330,10 +252,10 @@ def _search_one(
             seen_canonical.add(rows)
             if keep:
                 q = LoopTable(rows, check=False)
-        counts[0] += 1
+        count += 1
         if keep:
             found.append(q)
-        if found_limit is not None and counts[0] >= found_limit:
+        if first:
             raise _Stop
 
     def dfs():
@@ -438,21 +360,56 @@ def _search_one(
             col_free[c] |= bit
 
     try:
-        dfs()
+        for preseed in preseeds:
+            cells = [-1] * n2
+            for j in range(n):
+                cells[j] = j
+                cells[j * n] = j
+            row_free = [0] + [full & ~(1 << i) for i in range(1, n)]
+            col_free = [0] + [full & ~(1 << j) for j in range(1, n)]
+            excl = [0] * n2
+            # A preseed that conflicts, or whose set-up violates an
+            # instance, holds no table.
+            for idx, v in preseed:
+                r, c = divmod(idx, n)
+                bit = 1 << v
+                if cells[idx] >= 0 or not (row_free[r] & col_free[c] & bit):
+                    break
+                cells[idx] = v
+                row_free[r] ^= bit
+                col_free[c] ^= bit
+            else:
+                # The position index of cells, which the evaluators read
+                # divisions from; every change to cells makes the same
+                # change here.  watch[cell] lists the open instances
+                # blocked on that cell, each instance in exactly one list.
+                pos = positions(cells, n)
+                watch = [[] for _ in range(n2)]
+                for i, (evaluate, assign) in enumerate(instances):
+                    cell = evaluate(cells, pos, assign)
+                    if cell == VIOLATED:
+                        break
+                    if cell != SAT:
+                        watch[cell % n2].append(i)
+                else:
+                    check_at = min((nodes | 1023) + 1, node_limit)
+                    dfs()
     except _Stop:
         pass
-    return nodes
+
+    elapsed = time.monotonic() - start
+    return SearchResult(n, found, count, nodes, elapsed, not first or count == 0, spec.shard_slice)
 
 
 def _row1_prefixes(n, k):
     """Row-1 prefixes of the minimal length whose count reaches k.
 
-    Returns (prefixes, length); prefixes are tuples of values for cells
-    (1,1)..(1,length) in lexicographic order.  With fewer total prefixes
-    than shards, high-index shards are simply empty.
+    The prefixes are tuples of values for cells (1,1)..(1,length) in
+    lexicographic order.  With fewer total prefixes than shards,
+    high-index shards are simply empty.
     """
     if n < 3:
-        return [()], 0
+        return [()]
     for length in range(1, n):
         prefixes = []
 
@@ -469,8 +426,7 @@ def _row1_prefixes(n, k):
 
         rec(1, 0, [])
         if len(prefixes) >= k or length == n - 1:
-            return prefixes, length
-    return [()], 0
+            return prefixes
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,34 @@
-"""The full witness scan of the integer-pair loop, kept as the reference
-that the closed-form ``loopkit.bk.nonnormal_witness`` is tested against:
-every pair in the window, sorted up front, and every second coordinate w
-of s0 = (0, w) in the window."""
+"""References for the integer-pair loop.
+
+The full witness scan is the reference that the closed-form
+``loopkit.bk.nonnormal_witness`` is tested against: every pair in the
+window, sorted up front, and every second coordinate w of s0 = (0, w) in
+the window.  ``rdiv_closed_form`` solves u * v = w directly, the mirror of
+``loopkit.bk.bk_ldiv``, and is the reference for ``bk_rdiv``, which
+divides on the other side because the loop is commutative."""
 
 from loopkit.bk import BKElement, bk_ldiv, bk_mul, standard_inner
 from loopkit.errors import Inconsistent
+
+
+def rdiv_closed_form(params, w, v):
+    """The unique u with u * v = w, from the residue conditions on u."""
+    p = params.p
+    b, c = v.a, w.a
+    if c % p != 0 or b % p == 0:
+        u = BKElement(c - b, w.x - v.x)
+    else:
+        p2 = p * p
+        b2, rb = divmod(v.a, p2)
+        low = (-b) % p
+        s = (rb + low) // p
+        index = w.x % p
+        j = (index + 1 - s) % p
+        a = (c // p - b2) * p2 + p * j + low
+        u = BKElement(a, w.x // p - v.x)
+    if bk_mul(params, u, v) != w:
+        raise Inconsistent(f"division failed: {w} / {v}")
+    return u
 
 
 def _element_key(e):

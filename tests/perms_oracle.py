@@ -1,8 +1,24 @@
 """Breadth-first group closure, kept as the reference that the stabilizer
-chains of ``loopkit.perms`` are tested against, and the textbook
-normality test by conjugating generators."""
+chains of ``loopkit.perms`` are tested against, the textbook normality
+test by conjugating generators, and the standard generators of the inner
+mapping group, which the tests close to check ``loopkit.perms.inn``."""
 
 from loopkit.perms import Perm
+
+
+def standard_generators(q):
+    """The three classical generator families of the inner mapping group.
+
+    Returns a list of ((kind, x, y), Perm) with kind one of "LL", "RR",
+    "TR": LL is L(x*y)^-1 L(x) L(y), RR is R(y*x)^-1 R(x) R(y), and TR is
+    L(x)^-1 R(x) (tagged with y == 0).
+    """
+    L, R, n = q.L, q.R, q.order
+    return ([(("LL", x, y), L(q.mul(x, y)).inverse() * L(x) * L(y))
+             for x in range(n) for y in range(n)]
+            + [(("RR", x, y), R(q.mul(y, x)).inverse() * R(x) * R(y))
+               for x in range(n) for y in range(n)]
+            + [(("TR", x, 0), L(x).inverse() * R(x)) for x in range(n)])
 
 
 def closure_elements(generators):

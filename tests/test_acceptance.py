@@ -20,6 +20,7 @@ from loopkit.search import (
 )
 from loopkit.varieties import verify_theorems
 from nuclei_oracle import nuclei_from_inner_mappings
+from perms_oracle import standard_generators
 from search_oracle import enumerate_reduced_naive
 
 
@@ -214,7 +215,7 @@ def test_criterion_6_cross_path_consistency(capsys):
             if scans != nuclei_from_inner_mappings(q):
                 mismatches += 1
             stabilizer = perms.inn(q)
-            generated = perms.closure([p for _tag, p in perms.standard_generators(q)])
+            generated = perms.closure([p for _tag, p in standard_generators(q)])
             if stabilizer.elements != generated.elements:
                 mismatches += 1
     elapsed = time.monotonic() - start

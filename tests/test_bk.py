@@ -40,6 +40,20 @@ elements = st.builds(
     st.integers(min_value=-60, max_value=60),
 )
 params_any = st.sampled_from([P2, P3, P5])
+coordinates = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@st.composite
+def first_coordinates(draw):
+    """(params, a, b) with p in {2, 3, 5, 7}.  On half the draws p divides
+    a + b and not a: the special branch of bk_mul."""
+    params = draw(st.sampled_from([P2, P3, P5, BKParams(7)]))
+    p = params.p
+    a, b = draw(coordinates), draw(coordinates)
+    if draw(st.booleans()):
+        a += draw(st.integers(1, p - 1)) - a % p
+        b -= (a + b) % p
+    return params, a, b
 
 
 def test_params_validate():
@@ -103,12 +117,24 @@ def test_divisions_solve_equations(p, u, w):
     assert bk_mul(p, bk_rdiv(p, w, u), u) == w
 
 
-@given(p=params_any, u=elements, v=elements)
-@settings(max_examples=200, deadline=None)
-def test_multiplication_is_commutative(p, u, v):
+@given(first_coordinates(), coordinates, coordinates)
+@settings(max_examples=300, deadline=None)
+def test_multiplication_is_commutative(pab, x, y):
     # The base loop is the integers under addition, so the doubled loop
-    # is commutative too.
-    assert bk_mul(p, u, v) == bk_mul(p, v, u)
+    # is commutative too; bk_rdiv relies on it.
+    params, a, b = pab
+    u, v = BKElement(a, x), BKElement(b, y)
+    assert bk_mul(params, u, v) == bk_mul(params, v, u)
+
+
+@given(first_coordinates(), coordinates, coordinates)
+@settings(max_examples=300, deadline=None)
+def test_rdiv_matches_closed_form_on_both_branches(pab, x, y):
+    # On the special draws w.a = a + b is divisible by p and v.a = a is
+    # not, which is the closed form's special branch.
+    params, a, b = pab
+    w, v = BKElement(a + b, x), BKElement(a, y)
+    assert bk_rdiv(params, w, v) == bk_oracle.rdiv_closed_form(params, w, v)
 
 
 def test_multiplication_is_not_associative():

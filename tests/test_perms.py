@@ -13,7 +13,7 @@ from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import verify_theorems
 from loop_strategies import loops
 from nuclei_oracle import fixed_points
-from perms_oracle import closure_elements, is_normal_subgroup
+from perms_oracle import closure_elements, is_normal_subgroup, standard_generators
 
 
 def test_composition_applies_right_factor_first():
@@ -66,7 +66,7 @@ def _oracle_groups(q):
     n = q.order
     ls = [q.L(x) for x in range(n)]
     rs = [q.R(x) for x in range(n)]
-    std = perms.standard_generators(q)
+    std = standard_generators(q)
     full = closure_elements(ls + rs)
     return {
         perms.mlt: full,
@@ -82,7 +82,7 @@ def _oracle_groups(q):
 @given(loops())
 def test_chains_match_breadth_first_closure(q):
     probes = [q.L(x) for x in range(q.order)] + [q.R(x) for x in range(q.order)]
-    probes += [p for _tag, p in perms.standard_generators(q)]
+    probes += [p for _tag, p in standard_generators(q)]
     for build, expected in _oracle_groups(q).items():
         group = build(q)
         assert len(group) == len(expected), build.__name__
@@ -148,7 +148,7 @@ def test_inn_fixed_points_are_group_center():
 
 
 def test_standard_generators_cover_three_families(q5):
-    gens = perms.standard_generators(q5)
+    gens = standard_generators(q5)
     n = q5.order
     assert len(gens) == 2 * n * n + n
     kinds = {tag[0] for tag, _p in gens}
@@ -160,7 +160,7 @@ def test_standard_generators_cover_three_families(q5):
 def test_inn_equals_standard_generator_closure(q5, s3, cc6):
     for q in (q5, s3, cc6):
         stab = perms.inn(q)
-        gen = closure([p for _tag, p in perms.standard_generators(q)])
+        gen = closure([p for _tag, p in standard_generators(q)])
         assert stab.elements == gen.elements
 
 

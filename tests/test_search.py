@@ -9,13 +9,12 @@ from dataclasses import replace
 
 import pytest
 
-from loopkit.core import LoopTable, direct_product, isomorphic
+from loopkit.core import LoopTable, canonical_table, direct_product, isomorphic
 from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
 from loopkit.identities import compile_identity, nontrivial_assignments, positions
 from loopkit.search import (
     SearchSpec,
     canonical_key,
-    canonical_table,
     count_reduced,
     count_up_to_isomorphism,
     minimal_order,
@@ -165,6 +164,44 @@ def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited
     # later, with more cells filled, and pruned more (2552, 93, 3161, 2880).
     res = search(SearchSpec(order=order, required=required, forbidden=forbidden, mode=mode))
     assert (res.count, res.visited) == (count, visited)
+
+
+@pytest.mark.parametrize(
+    "required, forbidden, mode, count, visited, complete",
+    [
+        # The witness is in the second preseed: 471 + 44 nodes.
+        (("cc",), ("associative",), "first", 1, 515, False),
+        (("moufang",), ("associative",), "first", 0, 642, True),
+        (("osborn",), ("cc", "moufang"), "count", 0, 980, True),
+        # 1,728 + 1,920 tables in 17,642 + 20,617 nodes.
+        ((), (), "count", 3648, 38259, True),
+    ],
+)
+def test_slices_of_two_preseeds_are_pinned(required, forbidden, mode, count, visited, complete):
+    # Order-6 slice 0 of 4 starts from the row-1 preseeds (0,) and (5,);
+    # slices 0 and 4 of 5 hold one each.  The node count runs on across
+    # the preseeds.
+    spec = SearchSpec(6, required, forbidden, mode=mode, shard_slice=(0, 4))
+    res = search(spec)
+    assert (res.count, res.visited, res.complete) == (count, visited, complete)
+    parts = [search(replace(spec, shard_slice=(i, 5))) for i in (0, 4)]
+    if complete:
+        assert sum(p.count for p in parts) == count
+        assert sum(p.visited for p in parts) == visited
+    else:
+        assert parts[0].count == 0
+        assert parts[0].visited + parts[1].visited == visited
+        assert tables(res.found) == tables(parts[1].found)
+
+
+def test_budget_nodes_runs_on_across_preseeds():
+    # The first preseed of the slice takes 17,642 nodes; the budget runs
+    # out in the second.
+    spec = SearchSpec(6, mode="count", shard_slice=(0, 4))
+    with pytest.raises(BudgetExceeded) as exc:
+        search(spec, budget_nodes=20000)
+    assert exc.value.visited == 20001
+    assert search(replace(spec, shard_slice=(0, 5))).visited == 17642
 
 
 def test_search_makes_no_futile_evaluator_calls(monkeypatch):

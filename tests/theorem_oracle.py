@@ -13,6 +13,7 @@ ten-way and five-way agreements.
 from loopkit import perms
 from loopkit.perms import Perm
 from loopkit.varieties import is_autotopism
+from perms_oracle import standard_generators
 
 
 def is_automorphism(q, p):
@@ -77,7 +78,7 @@ def commutator_translation_forms(q):
 
 
 def inner_pseudo_companions(q):
-    for (kind, x, y), p in perms.standard_generators(q):
+    for (kind, x, y), p in standard_generators(q):
         if kind == "LL" and not is_right_pseudoautomorphism(q, p, companion_of_left_inner(q, x, y)):
             return False
         if kind == "RR" and not is_left_pseudoautomorphism(q, p, companion_of_right_inner(q, x, y)):
