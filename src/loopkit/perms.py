@@ -112,8 +112,12 @@ def _chain(generators):
     orbit or give a Schreier generator; a residue that is not the identity
     becomes a strong generator of each level it reached.  The deepest
     level with pending pairs goes first, so every sift is exact.
+
+    Returns (chain, kept).  An input that sifts to the identity lies in the
+    group of the inputs before it and is dropped, so ``kept``, the inputs
+    not dropped in their given order, generates the same group.
     """
-    chain, todo = [], []
+    chain, todo, kept = [], [], []
 
     def add(g, first, last):
         """Make g a strong generator of levels first..last; last may be new."""
@@ -129,6 +133,7 @@ def _chain(generators):
         h, i = _sift(chain, 0, g)
         if i == len(chain) and h.is_identity():
             continue
+        kept.append(g)
         add(h, 0, i)
         while i >= 0:
             _base, gens, transversal = chain[i]
@@ -145,7 +150,7 @@ def _chain(generators):
             if j < len(chain) or not h.is_identity():
                 add(h, i + 1, j)
                 i = j
-    return chain
+    return chain, kept
 
 
 class PermGroup:
@@ -155,6 +160,8 @@ class PermGroup:
     points above it, transversal).  The transversal maps each point y of
     the base point's orbit to an element taking the base point to y.  The
     order is the product of the orbit sizes and membership is a sift.
+    ``generators`` generate the group; for a group from ``closure`` they
+    are the inputs that ``_chain`` kept, and equality sifts only those.
     """
 
     __slots__ = ("degree", "generators", "chain", "_elements")
@@ -199,14 +206,18 @@ class PermGroup:
 
 def closure(generators):
     """The group generated by ``generators``, which fix its degree.  Every
-    group of this module comes from here."""
+    group of this module comes from here.  Its ``generators`` are the
+    inputs kept by ``_chain``: a subsequence of ``generators`` that
+    generates the same group, empty only when every input is the identity.
+    """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator to fix the degree")
     degrees = {g.degree for g in gens}
     if len(degrees) > 1:
         raise DegreeMismatch(f"generators of degrees {sorted(degrees)}")
-    return PermGroup(gens[0].degree, gens, _chain(gens))
+    chain, kept = _chain(gens)
+    return PermGroup(gens[0].degree, kept, chain)
 
 
 def mlt(q):
@@ -233,18 +244,24 @@ def inn(q):
 
 
 def inn_left(q):
-    """Closure of the maps L(x*y)^-1 L(x) L(y)."""
-    L, n = q.L, q.order
-    return closure(L(q.mul(x, y)).inverse() * L(x) * L(y) for x in range(n) for y in range(n))
+    """Closure of the maps L(x*y)^-1 L(x) L(y), read off the table as
+    z -> (x*y) \\ (x*(y*z))."""
+    rows, ldiv = q.rows, q.divisions()[0]
+    return closure(Perm(ldiv[lx[y]][lx[v]] for v in rows[y])
+                   for lx in rows for y in range(q.order))
 
 
 def inn_right(q):
-    """Closure of the maps R(y*x)^-1 R(x) R(y)."""
-    R, n = q.R, q.order
-    return closure(R(q.mul(y, x)).inverse() * R(x) * R(y) for x in range(n) for y in range(n))
+    """Closure of the maps R(y*x)^-1 R(x) R(y), read off the table as
+    z -> ((z*y)*x) / (y*x)."""
+    rows, rdiv = q.rows, q.divisions()[1]
+    return closure(Perm(rdiv[rows[lz[y]][x]][rows[y][x]] for lz in rows)
+                   for x in range(q.order) for y in range(q.order))
 
 
 def commutator_LR(q, y, x):
-    """[L(y), R(x)] under the a^-1 b^-1 a b convention."""
-    ly, rx = q.L(y), q.R(x)
-    return ly.inverse() * rx.inverse() * ly * rx
+    """[L(y), R(x)] under the a^-1 b^-1 a b convention, read off the table
+    as z -> y \\ ((y*(z*x)) / x)."""
+    rows, (ldiv, rdiv) = q.rows, q.divisions()
+    ly, ldy = rows[y], ldiv[y]
+    return Perm(ldy[rdiv[ly[lz[x]]][x]] for lz in rows)

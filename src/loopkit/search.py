@@ -368,32 +368,28 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
             row_free = [0] + [full & ~(1 << i) for i in range(1, n)]
             col_free = [0] + [full & ~(1 << j) for j in range(1, n)]
             excl = [0] * n2
-            # A preseed that conflicts, or whose set-up violates an
-            # instance, holds no table.
             for idx, v in preseed:
                 r, c = divmod(idx, n)
                 bit = 1 << v
-                if cells[idx] >= 0 or not (row_free[r] & col_free[c] & bit):
-                    break
                 cells[idx] = v
                 row_free[r] ^= bit
                 col_free[c] ^= bit
+            # The position index of cells, which the evaluators read
+            # divisions from; every change to cells makes the same change
+            # here.  watch[cell] lists the open instances blocked on that
+            # cell, each instance in exactly one list.  A preseed whose
+            # set-up violates an instance holds no table.
+            pos = positions(cells, n)
+            watch = [[] for _ in range(n2)]
+            for i, (evaluate, assign) in enumerate(instances):
+                cell = evaluate(cells, pos, assign)
+                if cell == VIOLATED:
+                    break
+                if cell != SAT:
+                    watch[cell % n2].append(i)
             else:
-                # The position index of cells, which the evaluators read
-                # divisions from; every change to cells makes the same
-                # change here.  watch[cell] lists the open instances
-                # blocked on that cell, each instance in exactly one list.
-                pos = positions(cells, n)
-                watch = [[] for _ in range(n2)]
-                for i, (evaluate, assign) in enumerate(instances):
-                    cell = evaluate(cells, pos, assign)
-                    if cell == VIOLATED:
-                        break
-                    if cell != SAT:
-                        watch[cell % n2].append(i)
-                else:
-                    check_at = min((nodes | 1023) + 1, node_limit)
-                    dfs()
+                check_at = min((nodes | 1023) + 1, node_limit)
+                dfs()
     except _Stop:
         pass
 
@@ -406,7 +402,8 @@ def _row1_prefixes(n, k):
 
     The prefixes are tuples of values for cells (1,1)..(1,length) in
     lexicographic order.  With fewer total prefixes than shards,
-    high-index shards are simply empty.
+    high-index shards are simply empty.  A prefix holds distinct values,
+    none 1 or its own column, so it never conflicts with the border.
     """
     if n < 3:
         return [()]

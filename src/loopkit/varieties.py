@@ -351,19 +351,20 @@ class _Ctx:
         """Whether Mlt_left (``side`` "left") or Mlt_right ("right") is
         normal in Mlt.
 
-        Left translations conjugate Mlt_left into itself, and a subgroup of
-        a finite group that holds its conjugates by every generator is
-        normal, so it is enough that every R(x)^-1 L(y) R(x) sifts into
-        Mlt_left; mirrored for Mlt_right.
+        H = Mlt_left is generated by the left translations its chain kept,
+        and Mlt by those and the kept right translations.  H holds its
+        conjugates by its own generators, and a subgroup of a finite group
+        that holds its conjugates by every generator is normal, so it is
+        enough that g^-1 t g sifts into H for each kept t of H and each
+        kept g of Mlt_right; mirrored for Mlt_right.  No chain of Mlt is
+        built.
         """
         if side not in self._normal:
-            q, n = self.q, self.q.order
-            own, other, build = ((q.L, q.R, perms.mlt_left) if side == "left"
-                                 else (q.R, q.L, perms.mlt_right))
-            h = self.group(build)
-            owns = [own(y) for y in range(n)]
+            left, right = self.group(perms.mlt_left), self.group(perms.mlt_right)
+            h, other = (left, right) if side == "left" else (right, left)
+            conjugators = [(g.inverse(), g) for g in other.generators]
             self._normal[side] = all(
-                g.inverse() * t * g in h for g in map(other, range(n)) for t in owns)
+                gi * t * g in h for gi, g in conjugators for t in h.generators)
         return self._normal[side]
 
     @property
@@ -434,24 +435,28 @@ def _quotient_by_nucleus(ctx):
 
 
 def _check_eq46(ctx):
+    # L(x^2) = L(x) L(x^l)^-1 for each x with x^2 in the nucleus, read at
+    # every z: x^2 z = x (x^l \ z).
     q = ctx.q
     nuc = ctx.nucleus
-    for x in range(q.order):
-        x2 = q.mul(x, x)
-        if x2 in nuc and q.L(x2) != q.L(x) * q.L(q.left_inv(x)).inverse():
+    rows, ldiv = q.rows, q.divisions()[0]
+    for x, lx in enumerate(rows):
+        x2 = lx[x]
+        if x2 in nuc and rows[x2] != tuple(lx[v] for v in ldiv[q.left_inv(x)]):
             return False
     return True
 
 
 def _check_eq47(ctx):
+    # L(x^2) = L(x) R(x)^-1 L(x) R(x) for each x with x^2 in the nucleus,
+    # read at every z: x^2 z = x ((x (z x)) / x).
     q = ctx.q
     nuc = ctx.nucleus
-    for x in range(q.order):
-        x2 = q.mul(x, x)
-        if x2 in nuc:
-            lx, rx = q.L(x), q.R(x)
-            if q.L(x2) != lx * rx.inverse() * lx * rx:
-                return False
+    rows, rdiv = q.rows, q.divisions()[1]
+    for x, lx in enumerate(rows):
+        x2 = lx[x]
+        if x2 in nuc and rows[x2] != tuple(lx[rdiv[lx[zx[x]]][x]] for zx in rows):
+            return False
     return True
 
 

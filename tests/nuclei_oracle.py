@@ -9,7 +9,6 @@ loop table of order <= 6), while the commutators [L(x), R(y)] fix exactly
 the middle nucleus.
 """
 
-from loopkit import perms
 from loopkit.structure import SubloopSet
 
 
@@ -36,7 +35,8 @@ def nuclei_from_inner_mappings(q):
     n = q.order
     ll = (q.L(q.mul(x, y)).inverse() * q.L(x) * q.L(y) for x in range(n) for y in range(n))
     rr = (q.R(q.mul(y, x)).inverse() * q.R(x) * q.R(y) for x in range(n) for y in range(n))
-    mid = (perms.commutator_LR(q, y, x) for y in range(n) for x in range(n))
+    mid = (q.L(y).inverse() * q.R(x).inverse() * q.L(y) * q.R(x)
+           for y in range(n) for x in range(n))
     left = SubloopSet.from_members(n, fixed_points(rr))
     right = SubloopSet.from_members(n, fixed_points(ll))
     middle = SubloopSet.from_members(n, fixed_points(mid))

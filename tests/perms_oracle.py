@@ -39,7 +39,9 @@ def closure_elements(generators):
     return frozenset(els)
 
 
-def is_normal_subgroup(h, g):
-    """Whether h is normal in g: every generator of h conjugated by every
-    generator of g sifts into h."""
-    return all(x * y * x.inverse() in h for x in g.generators for y in h.generators)
+def is_normal_subgroup(h, h_generators, g_generators):
+    """Whether the group h, generated by ``h_generators``, is normal in the
+    group generated by ``g_generators``: every one of ``h_generators``
+    conjugated by every one of ``g_generators`` lies in h.  The lists are
+    the caller's, not the ``generators`` a group keeps."""
+    return all(x * y * x.inverse() in h for x in g_generators for y in h_generators)

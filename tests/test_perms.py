@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopkit import perms
 from loopkit.core import LoopTable
@@ -90,6 +91,27 @@ def test_chains_match_breadth_first_closure(q):
         assert all((p in group) == (p in expected) for p in probes), build.__name__
 
 
+_PERM_LISTS = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(Perm), min_size=1, max_size=6))
+_TRANSLATIONS = loops().map(
+    lambda q: [q.L(x) for x in range(q.order)] + [q.R(x) for x in range(q.order)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_TRANSLATIONS, _PERM_LISTS))
+def test_closure_keeps_a_generating_subsequence(gens):
+    group = closure(gens)
+    kept = list(group.generators)
+    rest = iter(gens)
+    assert all(g in rest for g in kept)
+    if not kept:
+        assert all(g.is_identity() for g in gens)
+        return
+    again = closure(kept)
+    assert again.order == group.order
+    assert all(g in again for g in gens)
+
+
 def test_group_equality_compares_generated_groups():
     swap, cycle = Perm([1, 0, 2]), Perm([1, 2, 0])
     assert closure([swap, cycle]) == closure([cycle * swap, swap * cycle, swap])
@@ -167,8 +189,10 @@ def test_inn_equals_standard_generator_closure(q5, s3, cc6):
 def test_left_translations_normal_in_group_mlt():
     # G_L is normal in Mlt(G) because G_R centralizes it.
     q = dihedral(3)
-    assert is_normal_subgroup(perms.mlt_left(q), perms.mlt(q))
-    assert is_normal_subgroup(perms.mlt_right(q), perms.mlt(q))
+    ls = [q.L(x) for x in range(q.order)]
+    rs = [q.R(x) for x in range(q.order)]
+    assert is_normal_subgroup(perms.mlt_left(q), ls, ls + rs)
+    assert is_normal_subgroup(perms.mlt_right(q), rs, ls + rs)
 
 
 def test_commutators_vanish_on_groups():
@@ -176,6 +200,16 @@ def test_commutators_vanish_on_groups():
     for x in range(q.order):
         for y in range(q.order):
             assert commutator_LR(q, y, x).is_identity()
+
+
+@settings(max_examples=40, deadline=None)
+@given(loops())
+def test_commutators_match_translation_products(q):
+    for x in range(q.order):
+        rx = q.R(x)
+        for y in range(q.order):
+            ly = q.L(y)
+            assert commutator_LR(q, y, x) == ly.inverse() * rx.inverse() * ly * rx
 
 
 def test_commutators_detect_nonassociativity(q5):

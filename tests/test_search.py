@@ -14,6 +14,7 @@ from loopkit.errors import BudgetExceeded, InvalidSpec, UnknownVariety
 from loopkit.identities import compile_identity, nontrivial_assignments, positions
 from loopkit.search import (
     SearchSpec,
+    _row1_prefixes,
     canonical_key,
     count_reduced,
     count_up_to_isomorphism,
@@ -202,6 +203,17 @@ def test_budget_nodes_runs_on_across_preseeds():
         search(spec, budget_nodes=20000)
     assert exc.value.visited == 20001
     assert search(replace(spec, shard_slice=(0, 5))).visited == 17642
+
+
+def test_row1_prefixes_never_conflict_with_the_border():
+    # _search_slice places a preseed's values without a conflict check:
+    # row 1 holds 1 in column 0 and column j holds j in row 0.
+    for n in range(3, 9):
+        for k in (2, 3, 4, 7, 16, 64, 100, 400):
+            for prefix in _row1_prefixes(n, k):
+                assert len(set(prefix)) == len(prefix), (n, k, prefix)
+                assert all(0 <= v < n and v not in (1, j)
+                           for j, v in enumerate(prefix, 1)), (n, k, prefix)
 
 
 def test_search_makes_no_futile_evaluator_calls(monkeypatch):

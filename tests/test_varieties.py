@@ -322,12 +322,32 @@ def test_mlt_normality_sifts_agree_with_conjugating_generators(
     verdicts = Counter()
     for _id, q in corpus5 + classes6 + [(None, q) for q in (z4, z6, s3, d8, q5, cc6, m12)]:
         ctx = varieties._Ctx(q)
-        mlt = perms.mlt(q)
-        for side, build in (("left", perms.mlt_left), ("right", perms.mlt_right)):
-            normal = is_normal_subgroup(build(q), mlt)
+        ls = [q.L(x) for x in range(q.order)]
+        rs = [q.R(x) for x in range(q.order)]
+        for side, build, own in (("left", perms.mlt_left, ls), ("right", perms.mlt_right, rs)):
+            normal = is_normal_subgroup(build(q), own, ls + rs)
             assert ctx.normal_in_mlt(side) == normal
             verdicts[normal] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def test_mlt_normality_sifts_only_kept_generators(cc6, m12, monkeypatch):
+    # Conjugating every translation of a side by every translation of the
+    # other takes n^2 sifts: 36, 144 and 256.
+    contains = perms.PermGroup.__contains__
+    sifts = [0]
+
+    def counting(group, p):
+        sifts[0] += 1
+        return contains(group, p)
+
+    monkeypatch.setattr(perms.PermGroup, "__contains__", counting)
+    for q, expected in ((cc6, 4), (m12, 49), (cyclic(16), 1)):
+        ctx = varieties._Ctx(q)
+        for side in ("left", "right"):
+            sifts[0] = 0
+            assert ctx.normal_in_mlt(side)
+            assert sifts[0] == expected, side
 
 
 def test_theorem_suite_marks_inapplicable_rows(q5):

@@ -1,18 +1,20 @@
 """The permutation routes of the theorem suite's translation theorems, kept
-as the reference that the identities of ``loopkit.varieties`` are tested
-against.
+as the reference that the identities and table reads of
+``loopkit.varieties`` are tested against.
 
 Each route builds the translations as ``Perm`` objects, composes them and
 compares the products, the way the suite checked these rows before it
-stated them as identities.  ``ROUTES`` maps a suite row id to the verdict
-its route gives; ``lc_translation_conditions`` and
-``c_autotopism_condition`` give the translation conditions among the
+stated them as identities or read them off the table.  The two nuclear
+square routes take the nucleus from ``nuclei_oracle``.  ``ROUTES`` maps a
+suite row id to the verdict its route gives; ``lc_translation_conditions``
+and ``c_autotopism_condition`` give the translation conditions among the
 ten-way and five-way agreements.
 """
 
 from loopkit import perms
 from loopkit.perms import Perm
 from loopkit.varieties import is_autotopism
+from nuclei_oracle import nuclei_from_inner_mappings
 from perms_oracle import standard_generators
 
 
@@ -129,6 +131,33 @@ def right_square_translation(q):
     return True
 
 
+def _nucleus(q):
+    left, middle, right = nuclei_from_inner_mappings(q)
+    return set(left.members()) & set(middle.members()) & set(right.members())
+
+
+def nuclear_square_left_translation(q):
+    """L(x^2) = L(x) L(x^l)^-1 for every x with x^2 in the nucleus."""
+    nuc = _nucleus(q)
+    for x in range(q.order):
+        x2 = q.mul(x, x)
+        if x2 in nuc and q.L(x2) != q.L(x) * q.L(q.left_inv(x)).inverse():
+            return False
+    return True
+
+
+def osborn_nuclear_square_translation(q):
+    """L(x^2) = L(x) R(x)^-1 L(x) R(x) for every x with x^2 in the nucleus."""
+    nuc = _nucleus(q)
+    for x in range(q.order):
+        x2 = q.mul(x, x)
+        if x2 in nuc:
+            lx, rx = q.L(x), q.R(x)
+            if q.L(x2) != lx * rx.inverse() * lx * rx:
+                return False
+    return True
+
+
 def _is_left_translation(q, p):
     return p == q.L(p.images[0])
 
@@ -161,4 +190,6 @@ ROUTES = {
     "osborn_alpha_forms": alpha_forms,
     "buchsteiner_square_translations": square_translations,
     "buchsteiner_right_square_translation": right_square_translation,
+    "nuclear_square_left_translation": nuclear_square_left_translation,
+    "osborn_nuclear_square_translation": osborn_nuclear_square_translation,
 }
