@@ -179,16 +179,14 @@ def cmd_construct(args):
         print(f"x={bk.format_element(x)} y={bk.format_element(y)} "
               f"s0={bk.format_element(s0)} preimage={bk.format_element(pre)}")
         return EXIT_OK
-    if op == "audit":
-        if operands:
-            print("construct audit: takes no arguments", file=sys.stderr)
-            return EXIT_USAGE
-        report = bk.window_audit(params)
-        print(report.format())
-        print(f"{len(report.violations)} violations")
-        return EXIT_OK if report.ok else EXIT_FAIL
-    print(f"construct: unknown operation {op!r}", file=sys.stderr)
-    return EXIT_USAGE
+    # The parser's choices leave "audit" as the only other operation.
+    if operands:
+        print("construct audit: takes no arguments", file=sys.stderr)
+        return EXIT_USAGE
+    report = bk.window_audit(params)
+    print(report.format())
+    print(f"{len(report.violations)} violations")
+    return EXIT_OK if report.ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

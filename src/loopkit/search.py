@@ -211,8 +211,7 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
     # The ground instances of the required programs that are not loop-law
     # tautologies, as (evaluator, assignment).  An entry with a predicate
     # has no programs and is only checked at the leaves.
-    progs = [prog for name in required if get_entry(name).predicate is None
-             for prog in propagation_programs(name)]
+    progs = [prog for name in required for prog in propagation_programs(name)]
     instances = []
     for prog in progs:
         evaluate = partial_evaluator(prog, n)

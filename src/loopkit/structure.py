@@ -161,23 +161,24 @@ def subloop_table(q, s):
 
 def all_subloops(q):
     """Every subloop, smallest first.  Exponential in principle; meant for
-    small orders where the subloop lattice is tiny."""
-    found = {subloop_generated(q, ())}
-    frontier = [subloop_generated(q, (x,)) for x in range(q.order)]
-    for s in frontier:
-        found.add(s)
-    grew = True
-    while grew:
-        grew = False
-        cur = list(found)
-        for s in cur:
-            for x in range(q.order):
-                if x in s:
-                    continue
-                bigger = subloop_generated(q, s.members() + (x,))
+    small orders where the subloop lattice is tiny.
+
+    Each subloop found is extended once by each element outside it.  That
+    reaches every subloop S: S is the end of a chain <s1> < <s1, s2> < ...
+    of subloops each generated by the last and one more member of S.
+    """
+    trivial = subloop_generated(q, ())
+    found = {trivial}
+    work = [trivial]
+    while work:
+        s = work.pop()
+        members = s.members()
+        for x in range(q.order):
+            if x not in s:
+                bigger = subloop_generated(q, members + (x,))
                 if bigger not in found:
                     found.add(bigger)
-                    grew = True
+                    work.append(bigger)
     return sorted(found, key=lambda s: (len(s), s.mask))
 
 

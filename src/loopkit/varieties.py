@@ -8,10 +8,11 @@ defined on top of the equational ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from . import perms, structure
-from .core import LoopTable, isomorphic, opposite, principal_isotope
+from .core import isomorphic, opposite, principal_isotope
 from .errors import IllDefined, NotNormal, UnknownVariety
 from .identities import check_identity, compile_identity
 from .perms import Perm
@@ -74,18 +75,7 @@ class VarietyEntry:
     equations: tuple = ()
     parts: tuple = ()
     predicate: object = None
-    prop_equations: tuple = field(default=())
-
-    def propagation_programs(self):
-        """Programs usable for sound search pruning.
-
-        May be a proper superset of the defining equations: any identity
-        implied by the entry works, since a violated fully-determined
-        ground instance of a consequence rules out every completion in
-        the variety.  Membership itself is always decided by the
-        defining equations.
-        """
-        return self.prop_equations or self.equations
+    prop_equations: tuple = ()
 
 
 def _eq(*sources):
@@ -218,29 +208,26 @@ def get_entry(name):
 
 
 def check_variety(q, name):
-    entry = get_entry(name)
-    if entry.predicate is not None:
-        return entry.predicate(q)
-    if entry.parts:
-        return all(check_variety(q, p) for p in entry.parts)
-    return all(check_identity(q, prog) for prog in entry.equations)
+    """Whether q is in the catalog entry ``name``, decided in a fresh
+    context; the theorem suite keeps one context for each loop."""
+    return _Ctx(q).flag(name)
 
 
 def propagation_programs(name):
-    """Flatten an entry to identity programs for search pruning.
+    """The identity programs the search can prune with for an entry.
 
-    Raises UnknownVariety for unlisted names and ValueError for entries
-    with no equational content (those can only be leaf filters).
+    A conjunction gives its parts' programs; an entry with a predicate
+    gives none and is only checked at the leaves.  The programs may be a
+    proper superset of the defining equations: any identity implied by the
+    entry works, since a violated fully-determined ground instance of a
+    consequence rules out every completion in the variety.  Membership
+    itself is always decided by the defining equations.  Raises
+    UnknownVariety for unlisted names.
     """
     entry = get_entry(name)
-    if entry.predicate is not None:
-        raise ValueError(f"{name} has no equational form")
     if entry.parts:
-        progs = []
-        for p in entry.parts:
-            progs.extend(propagation_programs(p))
-        return tuple(progs)
-    return entry.propagation_programs()
+        return tuple(prog for part in entry.parts for prog in propagation_programs(part))
+    return entry.prop_equations or entry.equations
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +259,8 @@ _A2_EXTRA = _eq(
     "(y*(x*(x*z))) = ((y*(x*x))*z)",
 )
 
-# An alternative form of c, and (R(x)^-2, L(x)^2, 1) as an autotopism.
-_C_ALT = _eq(
-    "(((y*x)*x)*z) = (y*(x*(x*z)))",
-    "(((y/x)/x)*(x*(x*z))) = (y*z)",
-)
+# (R(x)^-2, L(x)^2, 1) as an autotopism, read at every y and z.
+_C_AUTOTOPISM = compile_identity("(((y/x)/x)*(x*(x*z))) = (y*z)")
 
 # Suite rows that equate translation products for all x and y, each as the
 # identities the equalities give at every z (and u).  Maps compose right to
@@ -327,18 +311,27 @@ _TRANSLATION_EQS = {
 
 
 class _Ctx:
-    """Per-loop cache shared by the suite's checks."""
+    """Per-loop cache of catalog flags and of what the suite's rows share."""
 
     def __init__(self, q):
         self.q = q
         self._flags = {}
         self._groups = {}
         self._normal = {}
-        self._nuclei = None
 
     def flag(self, name):
+        """Whether q is in the catalog entry ``name``.  A conjunction holds
+        when each of its parts does, and each part is looked up here, so
+        the context decides every entry at most once."""
         if name not in self._flags:
-            self._flags[name] = check_variety(self.q, name)
+            entry = get_entry(name)
+            if entry.predicate is not None:
+                holds = entry.predicate(self.q)
+            elif entry.parts:
+                holds = all(self.flag(part) for part in entry.parts)
+            else:
+                holds = all(check_identity(self.q, prog) for prog in entry.equations)
+            self._flags[name] = holds
         return self._flags[name]
 
     def group(self, build):
@@ -367,21 +360,25 @@ class _Ctx:
                 gi * t * g in h for gi, g in conjugators for t in h.generators)
         return self._normal[side]
 
-    @property
+    @cached_property
     def nuclei(self):
-        if self._nuclei is None:
-            q = self.q
-            self._nuclei = (
-                structure.left_nucleus(q),
-                structure.middle_nucleus(q),
-                structure.right_nucleus(q),
-            )
-        return self._nuclei
+        q = self.q
+        return (
+            structure.left_nucleus(q),
+            structure.middle_nucleus(q),
+            structure.right_nucleus(q),
+        )
 
-    @property
+    @cached_property
     def nucleus(self):
         nl, nm, nr = self.nuclei
         return structure.SubloopSet(self.q.order, nl.mask & nm.mask & nr.mask)
+
+    @cached_property
+    def factor(self):
+        """The context of the quotient by the nucleus, for rows whose
+        hypothesis makes the nucleus normal."""
+        return _Ctx(structure.quotient(self.q, self.nucleus)[0])
 
 
 def _sq_in(ctx, which):
@@ -407,19 +404,15 @@ def _check_a2_tenway(ctx):
 
 
 def _check_a3_fiveway(ctx):
-    q = ctx.q
-    conds = [
+    # The last condition, that (R(x)^-2, L(x)^2, 1) is an autotopism, is
+    # read at every y and z as _C_AUTOTOPISM.
+    return len({
         ctx.flag("c"),
         ctx.flag("lc") and ctx.flag("rc"),
         ctx.flag("ip") and _sq_in(ctx, "nucleus"),
         ctx.flag("ap") and _sq_in(ctx, "middle"),
-    ]
-    conds.extend(check_identity(q, prog) for prog in _C_ALT)
-    return len(set(conds)) == 1
-
-
-def _check_mlt_normal(ctx):
-    return ctx.normal_in_mlt("left") and ctx.normal_in_mlt("right")
+        check_identity(ctx.q, _C_AUTOTOPISM),
+    }) == 1
 
 
 def _check_inner_equal(ctx):
@@ -428,10 +421,6 @@ def _check_inner_equal(ctx):
     il = ctx.group(perms.inn_left)
     comms = (perms.commutator_LR(q, y, x) for x in range(n) for y in range(n))
     return il == ctx.group(perms.inn_right) and perms.closure(comms) == il
-
-
-def _quotient_by_nucleus(ctx):
-    return structure.quotient(ctx.q, ctx.nucleus)[0]
 
 
 def _check_eq46(ctx):
@@ -479,178 +468,108 @@ def _check_nuclear_autotopism_agreement(ctx):
     return True
 
 
-def _is_abelian_group(q):
-    return check_variety(q, "associative") and check_variety(q, "commutative")
+# Each suite row is (check_id, applicability, verdict), both callables on
+# the context; applicability returning False yields N/A.  The helpers below
+# build the common shapes.
 
 
-def _is_comm_moufang(q):
-    return check_variety(q, "commutative") and check_variety(q, "moufang")
+def _flags(*names):
+    """Every named catalog flag holds; ``_flags()`` holds for every loop."""
+    return lambda ctx: all(ctx.flag(name) for name in names)
 
 
-# Each suite row: (check_id, applicability, verdict).  ``applicability``
-# and ``verdict`` are callables on the context; applicability returning
-# False yields N/A.
+def _agree(*conds):
+    """The conditions all hold or all fail."""
+    return lambda ctx: len({cond(ctx) for cond in conds}) == 1
 
 
-def _suite():
-    rows = []
+def _two_of_three(check_id, *conds):
+    """The row: any two of the three conditions give the third."""
+    return (check_id, lambda ctx: sum(cond(ctx) for cond in conds) >= 2,
+            lambda ctx: all(cond(ctx) for cond in conds))
 
-    def add(check_id, applies, verdict):
-        rows.append((check_id, applies, verdict))
 
-    def two_of_three(check_id, *conds):
-        # Any two of the three conditions give the third.
-        add(check_id, lambda ctx: sum(c(ctx) for c in conds) >= 2,
-            lambda ctx: all(c(ctx) for c in conds))
+def _translation(check_id, applies):
+    """The row: every identity ``_TRANSLATION_EQS`` lists for it holds."""
+    progs = _TRANSLATION_EQS[check_id]
+    return check_id, applies, lambda ctx: all(check_identity(ctx.q, p) for p in progs)
 
-    def translation(check_id, applies):
-        progs = _TRANSLATION_EQS[check_id]
-        add(check_id, applies, lambda ctx: all(check_identity(ctx.q, p) for p in progs))
 
-    always = lambda ctx: True
-    flag = lambda name: lambda ctx: ctx.flag(name)
-
-    add("lc_tenway_agreement", always, _check_a2_tenway)
-    add("c_fiveway_agreement", always, _check_a3_fiveway)
-    two_of_three("lcc_lc_lbol_two_of_three", flag("lcc"), flag("lc"), flag("lbol"))
-    add(
-        "lbol_lc_iff_left_nuclear_squares",
-        lambda ctx: ctx.flag("lbol"),
-        lambda ctx: ctx.flag("lc") == _sq_in(ctx, "left"),
-    )
-    add(
-        "extra_loop_equivalences",
-        always,
-        lambda ctx: (
-            ctx.flag("extra")
-            == (ctx.flag("lc") and (ctx.flag("rbol") or ctx.flag("rcc") or ctx.flag("buchsteiner")))
-            == (ctx.flag("c") and (ctx.flag("lbol") or ctx.flag("lcc")))
-        ),
-    )
-    add(
-        "lc_implies_lip_and_normal_left_nucleus",
-        lambda ctx: ctx.flag("lc"),
-        lambda ctx: ctx.flag("lip")
-        and ctx.nuclei[0] == ctx.nuclei[1]
-        and structure.is_normal_subloop(ctx.q, ctx.nuclei[0]),
-    )
-    add(
-        "lip_left_middle_nuclei_equal",
-        lambda ctx: ctx.flag("lip"),
-        lambda ctx: ctx.nuclei[0] == ctx.nuclei[1],
-    )
-    add(
-        "rip_right_middle_nuclei_equal",
-        lambda ctx: ctx.flag("rip"),
-        lambda ctx: ctx.nuclei[2] == ctx.nuclei[1],
-    )
-    add(
-        "normal_mlt_left_gives_normal_right_nucleus",
-        lambda ctx: ctx.normal_in_mlt("left"),
-        lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[2]),
-    )
-    add(
-        "normal_mlt_right_gives_normal_left_nucleus",
-        lambda ctx: ctx.normal_in_mlt("right"),
-        lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[0]),
-    )
-    add(
-        "osborn_eightway_agreement",
-        always,
-        # "osborn" is form 1 itself, so every form is evaluated once.
-        lambda ctx: len({ctx.flag("osborn"), *(ctx.flag(f"osborn{i}") for i in range(2, 9))}) == 1,
-    )
-    add(
-        "osborn_closed_under_opposite",
-        always,
-        lambda ctx: ctx.flag("osborn") == check_variety(opposite(ctx.q), "osborn"),
-    )
-    add("moufang_implies_osborn", lambda ctx: ctx.flag("moufang"), lambda ctx: ctx.flag("osborn"))
-    add(
-        "osborn_moufang_by_single_extra_property",
-        lambda ctx: ctx.flag("osborn"),
-        lambda ctx: len(
-            {
-                ctx.flag("moufang"),
-                ctx.flag("lip"),
-                ctx.flag("rip"),
-                ctx.flag("flx"),
-                ctx.flag("lap"),
-                ctx.flag("rap"),
-            }
-        )
-        == 1,
-    )
-    add(
-        "osborn_aaip_implies_moufang",
-        lambda ctx: ctx.flag("osborn") and ctx.flag("aaip"),
-        lambda ctx: ctx.flag("moufang"),
-    )
-    add("cc_implies_osborn", lambda ctx: ctx.flag("cc"), lambda ctx: ctx.flag("osborn"))
-    add(
-        "osborn_cc_lcc_rcc_agree",
-        lambda ctx: ctx.flag("osborn"),
-        lambda ctx: ctx.flag("cc") == ctx.flag("lcc") == ctx.flag("rcc"),
-    )
-    add("vd_implies_osborn", lambda ctx: ctx.flag("vd"), lambda ctx: ctx.flag("osborn"))
-    add(
-        "gen_moufang_iff_wip_osborn",
-        always,
-        lambda ctx: ctx.flag("gen_moufang") == (ctx.flag("wip") and ctx.flag("osborn")),
-    )
+_SUITE = (
+    ("lc_tenway_agreement", _flags(), _check_a2_tenway),
+    ("c_fiveway_agreement", _flags(), _check_a3_fiveway),
+    _two_of_three("lcc_lc_lbol_two_of_three", _flags("lcc"), _flags("lc"), _flags("lbol")),
+    ("lbol_lc_iff_left_nuclear_squares", _flags("lbol"),
+     _agree(_flags("lc"), lambda ctx: _sq_in(ctx, "left"))),
+    ("extra_loop_equivalences", _flags(), _agree(
+        _flags("extra"),
+        lambda ctx: ctx.flag("lc") and (
+            ctx.flag("rbol") or ctx.flag("rcc") or ctx.flag("buchsteiner")),
+        lambda ctx: ctx.flag("c") and (ctx.flag("lbol") or ctx.flag("lcc")),
+    )),
+    ("lc_implies_lip_and_normal_left_nucleus", _flags("lc"),
+     lambda ctx: ctx.flag("lip")
+     and ctx.nuclei[0] == ctx.nuclei[1]
+     and structure.is_normal_subloop(ctx.q, ctx.nuclei[0])),
+    ("lip_left_middle_nuclei_equal", _flags("lip"),
+     lambda ctx: ctx.nuclei[0] == ctx.nuclei[1]),
+    ("rip_right_middle_nuclei_equal", _flags("rip"),
+     lambda ctx: ctx.nuclei[2] == ctx.nuclei[1]),
+    ("normal_mlt_left_gives_normal_right_nucleus", lambda ctx: ctx.normal_in_mlt("left"),
+     lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[2])),
+    ("normal_mlt_right_gives_normal_left_nucleus", lambda ctx: ctx.normal_in_mlt("right"),
+     lambda ctx: structure.is_normal_subloop(ctx.q, ctx.nuclei[0])),
+    # "osborn" is form 1 itself, so every form is evaluated once.
+    ("osborn_eightway_agreement", _flags(),
+     _agree(_flags("osborn"), *(_flags(f"osborn{i}") for i in range(2, 9)))),
+    ("osborn_closed_under_opposite", _flags(),
+     _agree(_flags("osborn"), lambda ctx: check_variety(opposite(ctx.q), "osborn"))),
+    ("moufang_implies_osborn", _flags("moufang"), _flags("osborn")),
+    ("osborn_moufang_by_single_extra_property", _flags("osborn"),
+     _agree(*map(_flags, ("moufang", "lip", "rip", "flx", "lap", "rap")))),
+    ("osborn_aaip_implies_moufang", _flags("osborn", "aaip"), _flags("moufang")),
+    ("cc_implies_osborn", _flags("cc"), _flags("osborn")),
+    ("osborn_cc_lcc_rcc_agree", _flags("osborn"),
+     _agree(_flags("cc"), _flags("lcc"), _flags("rcc"))),
+    ("vd_implies_osborn", _flags("vd"), _flags("osborn")),
+    ("gen_moufang_iff_wip_osborn", _flags(),
+     _agree(_flags("gen_moufang"), _flags("wip", "osborn"))),
     # R(x)^-1 L(y) R(x) = L(x^l)^-1 L(x^l y) and L(x)^-1 R(y) L(x) =
     # R(x^r)^-1 R(y x^r), read at every z, are osborn7 (sides swapped) and
     # osborn8 (y and z renamed).
-    add("osborn_translation_conjugation", flag("osborn"),
-        lambda ctx: ctx.flag("osborn7") and ctx.flag("osborn8"))
-    add("osborn_mlt_one_sided_normal", lambda ctx: ctx.flag("osborn"), _check_mlt_normal)
-    add("osborn_inner_groups_coincide", lambda ctx: ctx.flag("osborn"), _check_inner_equal)
-    translation("osborn_commutator_translation_forms", flag("osborn"))
-    add(
-        "osborn_nuclei_coincide_and_normal",
-        lambda ctx: ctx.flag("osborn"),
-        lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2]
-        and structure.is_normal_subloop(ctx.q, ctx.nucleus),
-    )
-    translation("osborn_inner_pseudo_companions", flag("osborn"))
-    translation("osborn_inverse_translation_automorphisms", flag("osborn"))
-    translation("osborn_alpha_forms", flag("osborn"))
-    add(
-        "osborn_cip_implies_commutative_moufang",
-        lambda ctx: ctx.flag("osborn") and ctx.flag("cip"),
-        lambda ctx: ctx.flag("commutative") and ctx.flag("moufang"),
-    )
-    add(
-        "osborn_a_loop_factor_commutative_moufang",
-        lambda ctx: ctx.flag("osborn") and (ctx.flag("left_a") or ctx.flag("right_a")),
-        lambda ctx: _is_comm_moufang(_quotient_by_nucleus(ctx)),
-    )
-    add(
-        "cc_factor_by_nucleus_abelian",
-        lambda ctx: ctx.flag("cc"),
-        lambda ctx: _is_abelian_group(_quotient_by_nucleus(ctx)),
-    )
-    add(
-        "buchsteiner_nuclei_coincide",
-        lambda ctx: ctx.flag("buchsteiner"),
-        lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2],
-    )
-    two_of_three("osborn_buchsteiner_nuclear_squares_two_of_three",
-                 flag("osborn"), flag("buchsteiner"), flag("nuclear_squares"))
-    two_of_three("osborn_buchsteiner_square_law_two_of_three",
-                 flag("osborn"), flag("buchsteiner"), flag("jaiyeola"))
-    two_of_three("gen_moufang_wipcc_nuclear_squares_two_of_three", flag("gen_moufang"),
-                 lambda ctx: ctx.flag("wip") and ctx.flag("cc"), flag("nuclear_squares"))
-    translation("buchsteiner_square_translations", flag("buchsteiner"))
-    translation("buchsteiner_right_square_translation", flag("buchsteiner"))
-    add("nuclear_square_left_translation", always, _check_eq46)
-    add("osborn_nuclear_square_translation", lambda ctx: ctx.flag("osborn"), _check_eq47)
-    add("square_law_autotopism_agreement", always, _check_square_autotopism)
-    add("nucleus_autotopism_route_agreement", always, _check_nuclear_autotopism_agreement)
-    return rows
-
-
-_SUITE = _suite()
+    ("osborn_translation_conjugation", _flags("osborn"), _flags("osborn7", "osborn8")),
+    ("osborn_mlt_one_sided_normal", _flags("osborn"),
+     lambda ctx: ctx.normal_in_mlt("left") and ctx.normal_in_mlt("right")),
+    ("osborn_inner_groups_coincide", _flags("osborn"), _check_inner_equal),
+    _translation("osborn_commutator_translation_forms", _flags("osborn")),
+    ("osborn_nuclei_coincide_and_normal", _flags("osborn"),
+     lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2]
+     and structure.is_normal_subloop(ctx.q, ctx.nucleus)),
+    _translation("osborn_inner_pseudo_companions", _flags("osborn")),
+    _translation("osborn_inverse_translation_automorphisms", _flags("osborn")),
+    _translation("osborn_alpha_forms", _flags("osborn")),
+    ("osborn_cip_implies_commutative_moufang", _flags("osborn", "cip"),
+     _flags("commutative", "moufang")),
+    ("osborn_a_loop_factor_commutative_moufang",
+     lambda ctx: ctx.flag("osborn") and (ctx.flag("left_a") or ctx.flag("right_a")),
+     lambda ctx: _flags("commutative", "moufang")(ctx.factor)),
+    ("cc_factor_by_nucleus_abelian", _flags("cc"),
+     lambda ctx: _flags("associative", "commutative")(ctx.factor)),
+    ("buchsteiner_nuclei_coincide", _flags("buchsteiner"),
+     lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2]),
+    _two_of_three("osborn_buchsteiner_nuclear_squares_two_of_three",
+                  _flags("osborn"), _flags("buchsteiner"), _flags("nuclear_squares")),
+    _two_of_three("osborn_buchsteiner_square_law_two_of_three",
+                  _flags("osborn"), _flags("buchsteiner"), _flags("jaiyeola")),
+    _two_of_three("gen_moufang_wipcc_nuclear_squares_two_of_three",
+                  _flags("gen_moufang"), _flags("wip", "cc"), _flags("nuclear_squares")),
+    _translation("buchsteiner_square_translations", _flags("buchsteiner")),
+    _translation("buchsteiner_right_square_translation", _flags("buchsteiner")),
+    ("nuclear_square_left_translation", _flags(), _check_eq46),
+    ("osborn_nuclear_square_translation", _flags("osborn"), _check_eq47),
+    ("square_law_autotopism_agreement", _flags(), _check_square_autotopism),
+    ("nucleus_autotopism_route_agreement", _flags(), _check_nuclear_autotopism_agreement),
+)
 
 
 @dataclass

@@ -181,12 +181,7 @@ def propagate_identity(partial, name):
     is never rejected.  Entries with no equational content are always
     consistent.
     """
-    get_entry(name)
-    try:
-        progs = propagation_programs(name)
-    except ValueError:
-        return "consistent"
-    for prog in progs:
+    for prog in propagation_programs(name):
         status, _cell = identity_status(partial, prog)
         if status == "violated":
             return "contradiction"

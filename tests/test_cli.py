@@ -281,6 +281,9 @@ def test_construct_bad_element(capsys):
     assert cli.main(["construct", "--p", "2", "mul", "(1;3)", "(1,4)"]) == 1
     assert cli.main(["construct", "--p", "2", "mul", "(1,3)"]) == 1
     assert cli.main(["construct", "--p", "4", "mul", "(1,3)", "(1,4)"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--p", "2", "bogus"])
+    assert exc.value.code == 1
 
 
 def test_isotopes_of_group(z4_file, capsys):

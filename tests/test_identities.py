@@ -22,7 +22,7 @@ from loopkit.identities import (
     positions,
 )
 from loopkit.tables import cyclic, dihedral
-from loopkit.varieties import CATALOG
+from loopkit.varieties import CATALOG, propagation_programs
 
 ASSOC = compile_identity("((x*y)*z) = (x*(y*z))")
 COMM = compile_identity("(x*y) = (y*x)")
@@ -174,7 +174,7 @@ PROGRAMS = tuple(
     {
         id(prog): prog
         for entry in CATALOG.values()
-        for prog in entry.equations + entry.propagation_programs()
+        for prog in entry.equations + propagation_programs(entry.name)
     }.values()
 )
 

@@ -1,9 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example runs and prints what its comments say, and
+its command-line examples parse."""
 
 import ast
 import io
+import shlex
 import tokenize
 from pathlib import Path
+
+from loopkit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +39,20 @@ def test_library_example_values():
         assert value == comment
     x, y, s0, pre = namespace["w"]
     assert namespace["loopkit"].bk.standard_inner(namespace["params"], "LL", x, y, pre) == s0
+
+
+def command_examples():
+    """The ``loopkit`` lines of the fenced blocks after "Examples:" under
+    "## Command line"."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    examples = section.split("Examples:", 1)[1]
+    blocks = examples.split("```")[1::2]
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("loopkit ")]
+
+
+def test_command_examples_parse():
+    lines = command_examples()
+    assert len(lines) == 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

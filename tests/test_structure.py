@@ -158,6 +158,19 @@ def test_all_subloops_of_s3(s3):
     assert [len(s) for s in subs] == [1, 2, 2, 2, 3, 6]
 
 
+@settings(max_examples=80, deadline=None)
+@given(loops())
+def test_all_subloops_match_subset_scan(q):
+    # Every subset holding 0, kept when the oracle closes it under all
+    # three operations.
+    others = range(1, q.order)
+    subsets = (SubloopSet.from_members(q.order, (0, *rest))
+               for k in range(q.order) for rest in itertools.combinations(others, k))
+    expected = sorted((s for s in subsets if subloop_oracle.is_subloop(q, s)),
+                      key=lambda s: (len(s), s.mask))
+    assert structure.all_subloops(q) == expected
+
+
 def test_q5_subloops(q5):
     # 1*1 = 0, so {0, 1} is the one proper subloop.
     subs = structure.all_subloops(q5)

@@ -84,8 +84,7 @@ def test_unknown_variety_raises(z4):
 def test_propagation_programs_only_for_equational():
     progs = propagation_programs("osborn")
     assert len(progs) == 8
-    with pytest.raises(ValueError):
-        propagation_programs("gloop")
+    assert propagation_programs("gloop") == ()
 
 
 def test_groups_hit_expected_flags(z6, s3):
@@ -263,6 +262,26 @@ def test_theorem_suite_row_counts_are_pinned(corpus5, z4, z6, s3, d8, q5, cc6, m
     assert list(pinned.items()) == list(SUITE_COUNTS.items())
 
 
+def test_theorem_suite_evaluates_each_identity_once(z4, z6, s3, d8, q5, cc6, m12,
+                                                    monkeypatch):
+    # Catalog conjunctions are decided from their parts' cached flags, and
+    # no row re-evaluates an identity another row or flag already has.
+    evaluated = Counter()
+    tables = []  # holds every table, so no id is reused for another
+    real = varieties.check_identity
+
+    def counting(q, prog):
+        tables.append(q)
+        evaluated[id(q), prog.source] += 1
+        return real(q, prog)
+
+    monkeypatch.setattr(varieties, "check_identity", counting)
+    for q in (z4, z6, s3, d8, q5, cc6, m12):
+        verify_theorems(q)
+    assert evaluated
+    assert [key for key, times in evaluated.items() if times > 1] == []
+
+
 _VERDICTS = {check_id: verdict for check_id, _applies, verdict in varieties._SUITE}
 _CONVERTED = (*theorem_oracle.ROUTES, "lc_tenway_agreement", "c_fiveway_agreement")
 
@@ -276,7 +295,7 @@ def _translation_verdicts(q):
     return (
         {check_id: _VERDICTS[check_id](ctx) for check_id in theorem_oracle.ROUTES},
         (lc, lc, check_identity(q, varieties._A2_EXTRA[2])),
-        check_identity(q, varieties._C_ALT[1]),
+        check_identity(q, varieties._C_AUTOTOPISM),
     )
 
 
