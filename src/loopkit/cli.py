@@ -61,7 +61,8 @@ def _nucleus_quotient_line(q, nuc):
         qt, _ = structure.quotient(q, nuc)
     except NotNormal:
         return "nucleus quotient: n/a (nucleus not normal)"
-    if varieties.check_variety(qt, "associative") and varieties.check_variety(qt, "commutative"):
+    flags = varieties.check_varieties(qt, ("associative", "commutative"))
+    if flags["associative"] and flags["commutative"]:
         return "nucleus quotient: abelian group"
     return "nucleus quotient: not an abelian group"
 
@@ -79,10 +80,8 @@ def cmd_check(args):
     ncls = structure.nilpotency_class(q)
     print(f"nilpotency class: {ncls if ncls is not None else 'none'}")
     print(_nucleus_quotient_line(q, nuc))
-    for name in varieties.catalog_names():
-        if name == "gloop" and not args.gloop:
-            continue
-        flag = varieties.check_variety(q, name)
+    names = [name for name in varieties.catalog_names() if name != "gloop" or args.gloop]
+    for name, flag in varieties.check_varieties(q, names).items():
         print(f"{name}: {'yes' if flag else 'no'}")
     return EXIT_OK
 

@@ -207,10 +207,18 @@ def get_entry(name):
         raise UnknownVariety(name) from None
 
 
+def check_varieties(q, names):
+    """{name: whether q is in the catalog entry ``name``} for each of
+    ``names``, decided in one context, so an entry shared by several of
+    them, as a conjunction's part, is decided once."""
+    ctx = _Ctx(q)
+    return {name: ctx.flag(name) for name in names}
+
+
 def check_variety(q, name):
-    """Whether q is in the catalog entry ``name``, decided in a fresh
-    context; the theorem suite keeps one context for each loop."""
-    return _Ctx(q).flag(name)
+    """Whether q is in the catalog entry ``name``: ``check_varieties`` for
+    one name.  The theorem suite keeps one context for each loop."""
+    return check_varieties(q, (name,))[name]
 
 
 def propagation_programs(name):
@@ -603,9 +611,8 @@ def verify_theorems(q, loop_id="loop"):
 
 def is_proper_osborn(q):
     """Osborn but neither Moufang nor conjugacy closed."""
-    return (check_variety(q, "osborn")
-            and not check_variety(q, "moufang")
-            and not check_variety(q, "cc"))
+    flags = check_varieties(q, ("osborn", "moufang", "cc"))
+    return flags["osborn"] and not flags["moufang"] and not flags["cc"]
 
 
 def order16_report(q, loop_id="loop"):

@@ -1,5 +1,7 @@
 """Exact arithmetic of the infinite integer-pair loop."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,10 +46,10 @@ coordinates = st.integers(min_value=-10**6, max_value=10**6)
 
 
 @st.composite
-def first_coordinates(draw):
-    """(params, a, b) with p in {2, 3, 5, 7}.  On half the draws p divides
+def first_coordinates(draw, primes=(2, 3, 5, 7)):
+    """(params, a, b) with p in ``primes``.  On half the draws p divides
     a + b and not a: the special branch of bk_mul."""
-    params = draw(st.sampled_from([P2, P3, P5, BKParams(7)]))
+    params = BKParams(draw(st.sampled_from(primes)))
     p = params.p
     a, b = draw(coordinates), draw(coordinates)
     if draw(st.booleans()):
@@ -135,6 +137,24 @@ def test_rdiv_matches_closed_form_on_both_branches(pab, x, y):
     params, a, b = pab
     w, v = BKElement(a + b, x), BKElement(a, y)
     assert bk_rdiv(params, w, v) == bk_oracle.rdiv_closed_form(params, w, v)
+
+
+@given(first_coordinates(primes=(2, 3, 5, 7, 11)), coordinates, coordinates)
+@settings(max_examples=300, deadline=None)
+def test_element_arithmetic_matches_reference(pab, x, y):
+    # On the special draws u * v, u \ w and w / v all take the special
+    # branch: p divides a + b and divides neither a nor b.
+    params, a, b = pab
+    u, v, w = BKElement(a, x), BKElement(b, y), BKElement(a + b, y)
+    pairs = [
+        (bk_mul(params, u, v), bk_oracle.bk_mul_reference(params, u, v)),
+        (bk_ldiv(params, u, w), bk_oracle.bk_ldiv_reference(params, u, w)),
+        (bk_rdiv(params, w, v), bk_oracle.bk_ldiv_reference(params, v, w)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert type(got) is BKElement
+        assert repr(got) == f"BKElement(a={want.a}, x={want.x})"
 
 
 def test_multiplication_is_not_associative():
@@ -284,7 +304,69 @@ def test_window_audits_are_clean():
         assert isinstance(report, AuditReport)
         assert report.ok
         assert report.violations == []
-        assert report.checks > 10000
+        assert report.checks == {2: 62639, 3: 117806}[params.p]
         head = report.format().splitlines()[0]
         assert f"p={params.p}" in head
         assert "violations=0" in head
+
+
+def _audit_outcome(audit, params):
+    """(exception type, None) if the audit raises, else (None, violations
+    as a multiset)."""
+    try:
+        report = audit(params)
+    except Exception as exc:
+        return type(exc), None
+    return None, Counter(report.violations)
+
+
+def _standard_inner_fault(inner):
+    # TR images of S leave S whenever x.a is odd.
+    def faulty(params, kind, x, y, s):
+        image = inner(params, kind, x, y, s)
+        return BKElement(image.a + 1, image.x) if kind == "TR" and x.a % 2 else image
+    return faulty
+
+
+def _rdiv_fault(rdiv):
+    def faulty(params, w, v):
+        u = rdiv(params, w, v)
+        return BKElement(u.a, u.x + 1) if v.a == 1 else u
+    return faulty
+
+
+def _ldiv_fault(ldiv):
+    # Asymmetric in u and w, so it shows in one order of a pair only.
+    def faulty(params, u, w):
+        v = ldiv(params, u, w)
+        return BKElement(v.a, v.x - 1) if u.a == 2 and w.x > 0 else v
+    return faulty
+
+
+def _mul_fault(mul):
+    def faulty(params, u, v):
+        w = mul(params, u, v)
+        return BKElement(w.a, w.x + 1) if u.a == 1 and v.a == -1 else w
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "name, fault, same_multiset",
+    [
+        ("standard_inner", _standard_inner_fault, True),
+        ("bk_rdiv", _rdiv_fault, False),
+        # bk_rdiv divides through bk_ldiv, so both audits see the same
+        # faulty quotients and must list the same violations.
+        ("bk_ldiv", _ldiv_fault, True),
+        ("bk_mul", _mul_fault, False),
+    ],
+)
+def test_audit_reports_injected_faults(monkeypatch, name, fault, same_multiset):
+    monkeypatch.setattr(loopkit.bk, name, fault(getattr(loopkit.bk, name)))
+    raised, violations = _audit_outcome(window_audit, P2)
+    ref_raised, ref_violations = _audit_outcome(bk_oracle.window_audit_reference, P2)
+    assert raised is ref_raised
+    if raised is None:
+        assert violations and ref_violations
+        if same_multiset:
+            assert violations == ref_violations

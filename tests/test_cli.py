@@ -1,6 +1,7 @@
 """Command line behavior and exit codes."""
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -82,6 +83,29 @@ def test_check_nucleus_not_normal(classes6, tmp_path, capsys):
     assert [len(nuc) for _q, nuc in odd] == [2]
     out = _check_output(odd[0][0], tmp_path, capsys)
     assert "nucleus quotient: n/a (nucleus not normal)" in out
+
+
+def test_check_decides_the_catalog_in_one_context(m12, tmp_path, capsys, monkeypatch):
+    # The catalog flags share one context, so a conjunction reads its
+    # parts' flags.  The one repeat left is the equation that the separate
+    # entries osborn and osborn1 both list.
+    evaluated = Counter()
+    tables = []  # holds every table, so no id is reused for another
+    real = varieties.check_identity
+
+    def counting(q, prog):
+        tables.append(q)
+        evaluated[id(q), prog.source] += 1
+        return real(q, prog)
+
+    monkeypatch.setattr(varieties, "check_identity", counting)
+    _check_output(m12, tmp_path, capsys)
+    assert sum(evaluated.values()) == 35
+    repeated = [source for (_id, source), times in evaluated.items() if times > 1]
+    osborn = [prog.source for prog in varieties.get_entry("osborn").equations]
+    assert osborn == [prog.source for prog in varieties.get_entry("osborn1").equations]
+    assert repeated == osborn
+    assert max(evaluated.values()) == 2
 
 
 def test_check_gloop_flag(z4_file, capsys):
