@@ -32,19 +32,18 @@ def _is_prime(n):
 
 @dataclass(frozen=True)
 class BKParams:
-    """Prime and audit window: |a| up to window_a, |x| up to window_x."""
+    """Prime and audit window: first coordinates |a| up to window_a."""
 
     p: int
     window_a: int = 0
-    window_x: int = 100
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.window_a == 0:
             object.__setattr__(self, "window_a", self.p**3)
-        if self.window_a < 1 or self.window_x < 1:
-            raise ValueError("window bounds must be positive")
+        if self.window_a < 1:
+            raise ValueError("window bound must be positive")
 
 
 class BKElement(NamedTuple):
@@ -168,8 +167,8 @@ def nonnormal_witness(params):
     It is also the first witness of the window scan that the tests keep
     as the reference: pairs ordered by |x.a| + |y.a|, then by the key
     (|a|, a < 0, |t|, t < 0) of x, then of y, with |a| <= window_a and
-    |t| <= min(window_x, p**2); for each pair w in 0, 1, -1, 2, -2, ...
-    up to |w| <= window_x; the first preimage y\(x\(xy * (0,w))) outside
+    |t| <= min(X, p**2) for a bound X; for each pair w in 0, 1, -1, 2,
+    -2, ... up to |w| <= X; the first preimage y\(x\(xy * (0,w))) outside
     S wins.  Four facts prove it:
 
     1. If x.a = 0 or y.a = 0 the preimage is (0, w).  bk_mul's special
@@ -184,8 +183,8 @@ def nonnormal_witness(params):
        divisions by x and then y give (1, t+w) and (0, w), all ordinary.
     3. w = 0 gives the unit: s0 is then the unit, and x\(xy) = y and
        y\y = (0,0) because divisions in a loop are unique.
-    4. Every legal window (window_a, window_x >= 1) holds (1,0), (-1,0)
-       and w = 1, the second value tried.
+    4. Every legal window (window_a, X >= 1) holds (1,0), (-1,0) and
+       w = 1, the second value tried.
 
     Pairs with |x.a| + |y.a| <= 1 have a factor in S (fact 1).  Among
     the pairs with sum 2, those with x.a = 0 come first (fact 1), then
@@ -224,8 +223,7 @@ class AuditReport:
     def format(self):
         head = (
             f"p={self.params.p} |a|<={self.params.window_a} "
-            f"|x|<={self.params.window_x} checks={self.checks} "
-            f"violations={len(self.violations)}"
+            f"checks={self.checks} violations={len(self.violations)}"
         )
         return "\n".join([head] + self.violations)
 

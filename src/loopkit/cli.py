@@ -149,7 +149,7 @@ def cmd_verify(args):
 
 
 def cmd_construct(args):
-    params = bk.BKParams(args.p, window_a=args.window_a, window_x=args.window_x)
+    params = bk.BKParams(args.p, window_a=args.window_a)
     op = args.op
     operands = args.args
     if op in ("mul", "ldiv", "rdiv"):
@@ -287,7 +287,6 @@ def build_parser():
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--window-a", type=int, default=0,
                    help="first-coordinate window bound, 0 means p cubed")
-    k.add_argument("--window-x", type=int, default=100)
     k.add_argument("op", choices=("mul", "ldiv", "rdiv", "inner", "witness", "audit"))
     k.add_argument("args", nargs="*")
     k.set_defaults(fn=cmd_construct)

@@ -135,14 +135,6 @@ def _check_table(rows, max_order):
             raise NoIdentity("element 0 is not a two-sided identity")
 
 
-def validate(order, cells, max_order=None):
-    """Build a LoopTable from an iterable of rows, checking everything."""
-    rows = [tuple(row) for row in cells]
-    if len(rows) != order:
-        raise BadDimensions(f"expected {order} rows, found {len(rows)}")
-    return LoopTable(rows, check=True, max_order=max_order)
-
-
 def opposite(q):
     """The loop with arguments swapped: x*y in the result is y*x in q."""
     n = q.order
@@ -383,7 +375,7 @@ def loads(text, max_order=None):
     except ValueError as exc:
         raise ParseError(f"bad entry: {exc}") from None
     rows = [tuple(vals[i * n : (i + 1) * n]) for i in range(n)]
-    return validate(n, rows, max_order=max_order)
+    return LoopTable(rows, check=True, max_order=max_order)
 
 
 def load_path(path, max_order=None):

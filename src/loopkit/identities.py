@@ -7,11 +7,14 @@ the identity element, e.g.::
 
     ((e/x)*(x*y)) = y
 
-Compilation produces a flat register program.  On first use the program
-is compiled again, into generated Python, for each of two entry points:
-``check_identity`` decides it on a full table, and ``partial_evaluator``
-evaluates one ground instance on a partial table of a given order and
-reports the first cell that blocks it.  The partial evaluator is what
+Compilation produces one register program holding each distinct subterm
+once, operands first, in first-occurrence order: a repeat reads the same
+cells as its first occurrence, so one evaluation blocks and judges as
+each copy would.  On first use the program is compiled again, into
+generated Python, for each of two entry points: ``check_identity``
+decides it on a full table, and ``partial_evaluator`` evaluates one
+ground instance on a partial table of a given order and reports the
+first cell that blocks it.  The partial evaluator is what
 makes sound search pruning possible: an instance is only judged when
 every cell it reads is filled.  It reads divisions from a position index
 of the partial table, built by ``positions`` and kept up to date by the
@@ -44,10 +47,13 @@ SAT, VIOLATED = -1, -2
 @dataclass(frozen=True)
 class Program:
     source: str
+    # (op, a, b) per distinct subterm, operands before their operations, in
+    # first-occurrence order; a and b index ops, or a is the variable.
     ops: tuple
     lhs: int
     rhs: int
     nvars: int
+    divides: bool
     # Generated functions: the full-table checker under None, the partial
     # evaluator for order n under n.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -55,55 +61,46 @@ class Program:
     nontrivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _parse(text, pos):
-    if pos >= len(text):
-        raise ValueError(f"unexpected end of input in {text!r}")
-    ch = text[pos]
-    if ch in _VARS:
-        return ("v", _VARS.index(ch)), pos + 1
-    if ch == "e":
-        return ("e",), pos + 1
-    if ch != "(":
-        raise ValueError(f"unexpected {ch!r} at {pos} in {text!r}")
-    left, pos = _parse(text, pos + 1)
-    if pos >= len(text) or text[pos] not in _OPS:
-        raise ValueError(f"expected operator at {pos} in {text!r}")
-    op = text[pos]
-    right, pos = _parse(text, pos + 1)
-    if pos >= len(text) or text[pos] != ")":
-        raise ValueError(f"expected ')' at {pos} in {text!r}")
-    return (op, left, right), pos + 1
-
-
-def _emit(node, ops):
-    if node[0] == "v":
-        ops.append((VAR, node[1], 0))
-    elif node[0] == "e":
-        ops.append((CONST, 0, 0))
-    else:
-        a = _emit(node[1], ops)
-        b = _emit(node[2], ops)
-        ops.append((_OPS[node[0]], a, b))
-    return len(ops) - 1
-
-
 def compile_identity(source):
     """Compile "lhs = rhs" into a Program."""
-    lhs_text, rhs_text = (side.replace(" ", "") for side in source.split("="))
-    lhs_node, pos = _parse(lhs_text, 0)
-    if pos != len(lhs_text):
-        raise ValueError(f"trailing input in {lhs_text!r}")
-    rhs_node, pos = _parse(rhs_text, 0)
-    if pos != len(rhs_text):
-        raise ValueError(f"trailing input in {rhs_text!r}")
     ops = []
-    lhs = _emit(lhs_node, ops)
-    rhs = _emit(rhs_node, ops)
-    nvars = 0
-    for op, a, _b in ops:
-        if op == VAR:
-            nvars = max(nvars, a + 1)
-    return Program(source, tuple(ops), lhs, rhs, nvars)
+    index = {}
+
+    def term(text, pos):
+        """The register of the term at pos in text, and the position after it."""
+        if pos >= len(text):
+            raise ValueError(f"unexpected end of input in {text!r}")
+        ch = text[pos]
+        if ch in _VARS:
+            key = (VAR, _VARS.index(ch), 0)
+        elif ch == "e":
+            key = (CONST, 0, 0)
+        elif ch != "(":
+            raise ValueError(f"unexpected {ch!r} at {pos} in {text!r}")
+        else:
+            a, pos = term(text, pos + 1)
+            if pos >= len(text) or text[pos] not in _OPS:
+                raise ValueError(f"expected operator at {pos} in {text!r}")
+            op = _OPS[text[pos]]
+            b, pos = term(text, pos + 1)
+            if pos >= len(text) or text[pos] != ")":
+                raise ValueError(f"expected ')' at {pos} in {text!r}")
+            key = (op, a, b)
+        if key not in index:
+            index[key] = len(ops)
+            ops.append(key)
+        return index[key], pos + 1
+
+    def side(text):
+        reg, pos = term(text, 0)
+        if pos != len(text):
+            raise ValueError(f"trailing input in {text!r}")
+        return reg
+
+    lhs, rhs = (side(text.replace(" ", "")) for text in source.split("="))
+    nvars = max((a + 1 for op, a, _b in ops if op == VAR), default=0)
+    divides = any(op in (LDIV, RDIV) for op, _a, _b in ops)
+    return Program(source, tuple(ops), lhs, rhs, nvars, divides)
 
 
 def check_identity(q, prog):
@@ -111,7 +108,8 @@ def check_identity(q, prog):
     check = prog.compiled.get(None)
     if check is None:
         check = prog.compiled[None] = _build(_full_source(prog), "check")
-    return check(q.rows, *q.divisions(), range(q.order))
+    divisions = q.divisions() if prog.divides else (None, None)
+    return check(q.rows, *divisions, range(q.order))
 
 
 def partial_evaluator(prog, n):
@@ -237,25 +235,6 @@ def _build(source, name):
     return namespace[name]
 
 
-def _terms(prog):
-    """The program with repeated subterms merged: (terms, lhs, rhs).
-
-    Terms are (op, a, b) over term indices, in evaluation order.  A
-    repeated subterm reads the same cells as its first occurrence, so
-    evaluating it once blocks and judges exactly as evaluating each copy.
-    """
-    terms = []
-    index = {}
-    number = []
-    for op, a, b in prog.ops:
-        key = (op, a, b) if op in (VAR, CONST) else (op, number[a], number[b])
-        if key not in index:
-            index[key] = len(terms)
-            terms.append(key)
-        number.append(index[key])
-    return terms, number[prog.lhs], number[prog.rhs]
-
-
 _TABLES = {MUL: "rows", LDIV: "ld", RDIV: "rd"}
 
 
@@ -266,7 +245,7 @@ def _full_source(prog):
     variables, a row of a table is looked up at the level of its row
     operand, and a term read once at its own level is written inline.
     """
-    terms, lhs, rhs = _terms(prog)
+    terms, lhs, rhs = prog.ops, prog.lhs, prog.rhs
     used = sorted(a for op, a, _b in terms if op == VAR)
     depth = len(used)
     level = []
@@ -327,9 +306,22 @@ def _partial_source(prog, n):
     Where a term blocks, the code goes on through the later terms that do
     not use its value, to decide the flag described in partial_evaluator.
     """
-    terms, lhs, rhs = _terms(prog)
+    terms = prog.ops
     expr = [f"v{a}" if op == VAR else "0" if op == CONST else f"t{j}"
             for j, (op, a, _b) in enumerate(terms)]
+
+    def read(k):
+        """The lines that read term k, and the test that the hole c is the
+        one term k blocks on when it reads -1."""
+        op, a, b = terms[k]
+        x, y, t = expr[a], expr[b], expr[k]
+        if op == MUL:
+            return [f"i = {_cell(x, y, n)}", f"{t} = cells[i]"], "i == c"
+        if op == LDIV:
+            return [f"{t} = pos[{_cell(x, y, n)}]"], f"c // {n} == {x}"
+        # x/y is pos[n*n + y*n + x], the row of the first x in column y.
+        at = f"{n * n}" if y == "0" else f"{n * n} + {y} * {n}"
+        return [f"{t} = pos[{at if x == '0' else f'{at} + {x}'}]"], f"c % {n} == {y}"
 
     def blocked(j, hole):
         """The lines run when term j blocks on the hole ``hole``."""
@@ -342,16 +334,8 @@ def _partial_source(prog, n):
             if a in uses or b in uses:
                 uses.add(k)
                 continue
-            x, y, t = expr[a], expr[b], expr[k]
-            if op == MUL:
-                tail += [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
-                         f"    return c if i == c else c + {n * n}"]
-            elif op == LDIV:
-                tail += [f"{t} = pos[{_cell(x, y, n)}]", f"if {t} < 0:",
-                         f"    return c if c // {n} == {x} else c + {n * n}"]
-            else:
-                tail += [f"{t} = pos[{_column_at(x, y, n)}]", f"if {t} < 0:",
-                         f"    return c if c % {n} == {y} else c + {n * n}"]
+            code, test = read(k)
+            tail += [*code, f"if {expr[k]} < 0:", f"    return c if {test} else c + {n * n}"]
         if not tail:
             return [f"    return {hole}"]
         return ["    " + s for s in [f"c = {hole}", *tail, "return c"]]
@@ -362,43 +346,25 @@ def _partial_source(prog, n):
     for j, (op, a, b) in enumerate(terms):
         if op in (VAR, CONST):
             continue
-        x, y, t = expr[a], expr[b], expr[j]
+        body, _test = read(j)
+        body.append(f"if {expr[j]} < 0:")
         if op == MUL:
-            body = [f"i = {_cell(x, y, n)}", f"{t} = cells[i]", f"if {t} < 0:",
-                    *blocked(j, "i")]
-        elif op == LDIV:
-            # x\y is the column of the first y in row x.  When row x holds
-            # no y, its first hole blocks the division.
-            body = [
-                f"{t} = pos[{_cell(x, y, n)}]",
-                f"if {t} < 0:",
-                f"    s = {x} * {n}",
-                f"    r = cells[s:s + {n}]",
-                "    if -1 not in r:",
-                f"        return {VIOLATED}",
-                *blocked(j, "s + r.index(-1)"),
-            ]
+            body += blocked(j, "i")
         else:
-            # x/y is the row of the first x in column y.
-            body = [
-                f"{t} = pos[{_column_at(x, y, n)}]",
-                f"if {t} < 0:",
-                f"    r = cells[{y}::{n}]",
-                "    if -1 not in r:",
-                f"        return {VIOLATED}",
-                *blocked(j, f"r.index(-1) * {n} + {y}"),
-            ]
+            # x\y is the column of the first y in row x, x/y the row of the
+            # first x in column y.  When that row or column holds no such
+            # value, its first hole blocks the division.
+            if op == LDIV:
+                scan, hole = [f"s = {expr[a]} * {n}", f"r = cells[s:s + {n}]"], "s + r.index(-1)"
+            else:
+                scan, hole = [f"r = cells[{expr[b]}::{n}]"], f"r.index(-1) * {n} + {expr[b]}"
+            body += ["    " + s for s in [*scan, "if -1 not in r:", f"    return {VIOLATED}"]]
+            body += blocked(j, hole)
         lines.extend("    " + s for s in body)
-    lines.append(f"    return {SAT} if {expr[lhs]} == {expr[rhs]} else {VIOLATED}")
+    lines.append(f"    return {SAT} if {expr[prog.lhs]} == {expr[prog.rhs]} else {VIOLATED}")
     return "\n".join(lines) + "\n"
 
 
 def _cell(x, y, n):
     """The index of cell (x, y); row 0 needs no multiplication."""
     return y if x == "0" else f"{x} * {n} + {y}"
-
-
-def _column_at(x, y, n):
-    """The index in ``positions`` of the row of the first x in column y."""
-    at = f"{n * n}" if y == "0" else f"{n * n} + {y} * {n}"
-    return at if x == "0" else f"{at} + {x}"

@@ -51,11 +51,6 @@ def nuclear_triple(q, a, kind):
     raise ValueError(f"unknown nucleus kind {kind!r}")
 
 
-def nucleus_membership_from_autotopism(q, a, kind):
-    """Nucleus membership via the autotopism route (independent of scans)."""
-    return is_autotopism(q, *nuclear_triple(q, a, kind))
-
-
 def square_triple(q, x):
     """(L(x)^2, L(xl)L(x), L(x)^2); autotopism for all x iff the two-sided
     square identity of the catalog entry "jaiyeola" holds."""
@@ -465,14 +460,10 @@ def _check_square_autotopism(ctx):
 
 def _check_nuclear_autotopism_agreement(ctx):
     q = ctx.q
-    nl, nm, nr = ctx.nuclei
     for a in range(q.order):
-        if nucleus_membership_from_autotopism(q, a, "left") != (a in nl):
-            return False
-        if nucleus_membership_from_autotopism(q, a, "middle") != (a in nm):
-            return False
-        if nucleus_membership_from_autotopism(q, a, "right") != (a in nr):
-            return False
+        for kind, nuc in zip(("left", "middle", "right"), ctx.nuclei):
+            if is_autotopism(q, *nuclear_triple(q, a, kind)) != (a in nuc):
+                return False
     return True
 
 

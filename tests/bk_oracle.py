@@ -56,13 +56,13 @@ def _signed_range(bound):
         yield -m
 
 
-def nonnormal_witness(params):
+def nonnormal_witness(params, bound_x):
     """(x, y, s0, preimage): the first pair in the order (|x.a| + |y.a|,
     element key of x, element key of y) and the first w in
     0, 1, -1, 2, -2, ... whose preimage under L(xy)^-1 L(x) L(y) lies
-    outside S; None if the window holds no such pair."""
+    outside S; None if the window holds no such pair.  The window is
+    |a| <= params.window_a, |t| <= min(bound_x, p**2) and |w| <= bound_x."""
     bound_a = params.window_a
-    bound_x = params.window_x
     tb = min(bound_x, params.p * params.p)
     elems = [BKElement(a, t) for a in _signed_range(bound_a) for t in _signed_range(tb)]
     pairs = sorted(

@@ -61,7 +61,7 @@ def first_coordinates(draw, primes=(2, 3, 5, 7)):
 def test_params_validate():
     assert BKParams(2).window_a == 8
     assert BKParams(3).window_a == 27
-    assert BKParams(7, window_a=5, window_x=9).window_x == 9
+    assert BKParams(7, window_a=5).window_a == 5
     with pytest.raises(ValueError):
         BKParams(4)
     with pytest.raises(ValueError):
@@ -223,7 +223,7 @@ def test_witness_p3_pinned():
 
 
 def test_witness_p5_small_window():
-    params = BKParams(5, window_a=3, window_x=5)
+    params = BKParams(5, window_a=3)
     x, y, s0, pre = nonnormal_witness(params)
     assert (x, y, s0, pre) == (
         BKElement(1, 0),
@@ -234,12 +234,12 @@ def test_witness_p5_small_window():
     assert standard_inner(params, "LL", x, y, pre) == s0
 
 
-@given(window_a=st.integers(1, 3), window_x=st.integers(1, 8))
+@given(window_a=st.integers(1, 3), bound_x=st.integers(1, 8))
 @settings(max_examples=10, deadline=None)
-def test_witness_matches_full_scan(window_a, window_x):
+def test_witness_matches_full_scan(window_a, bound_x):
     for p in PRIMES_TO_31:
-        params = BKParams(p, window_a=window_a, window_x=window_x)
-        assert nonnormal_witness(params) == bk_oracle.nonnormal_witness(params)
+        params = BKParams(p, window_a=window_a)
+        assert nonnormal_witness(params) == bk_oracle.nonnormal_witness(params, bound_x)
 
 
 def test_witness_closed_form_on_default_window():

@@ -287,6 +287,12 @@ def test_dump_load_round_trip(tmp_path, m12):
     assert load_path(str(path)) == m12
 
 
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_dump_load_round_trip_on_random_loops(q):
+    assert loads(dumps(q)) == q
+
+
 def test_loads_rejects_malformed():
     with pytest.raises(ParseError):
         loads("not a table")

@@ -12,8 +12,14 @@ from identity_oracle import UNDET, eval_partial, holds_at
 from identity_oracle import VIOLATED as ORACLE_VIOLATED
 from identity_oracle import check_identity as oracle_check_identity
 from loop_strategies import loops, partial_latin_grids
+from loopkit import varieties
 from loopkit.identities import (
+    CONST,
+    LDIV,
+    MUL,
+    RDIV,
     SAT,
+    VAR,
     VIOLATED,
     check_identity,
     compile_identity,
@@ -63,6 +69,14 @@ def test_divisions_in_identities():
     for q in (cyclic(6), dihedral(3)):
         assert check_identity(q, cancel_left)
         assert check_identity(q, cancel_right)
+
+
+def test_multiplication_only_identities_build_no_divisions():
+    q = dihedral(4)
+    assert check_identity(q, ASSOC)
+    assert q._ldiv is None and q._rdiv is None
+    assert check_identity(q, LIP)
+    assert q._ldiv is not None
 
 
 def test_constant_evaluates_to_identity_element():
@@ -259,3 +273,43 @@ def test_loop_laws_drop_tautologies():
     # property drops x = e and y = e, where it reads (e/x)*x = e.
     assert nontrivial_assignments(COMM, 3) == ((1, 2), (2, 1))
     assert nontrivial_assignments(LIP, 3) == ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+# Every catalog program and every program the theorem suite checks.
+SUITE_PROGRAMS = tuple(
+    {
+        prog.source: prog
+        for prog in (
+            *(p for entry in CATALOG.values() for p in entry.equations + entry.prop_equations),
+            *(p for progs in varieties._TRANSLATION_EQS.values() for p in progs),
+            *varieties._A2_EXTRA,
+            varieties._C_AUTOTOPISM,
+        )
+    }.values()
+)
+_SYMBOLS = {MUL: "*", LDIV: "\\", RDIV: "/"}
+
+
+def _spell(prog, k, visited):
+    """The text of term k, noting each term in ``visited`` after its operands."""
+    op, a, b = prog.ops[k]
+    if op == VAR:
+        text = "xyzu"[a]
+    elif op == CONST:
+        text = "e"
+    else:
+        text = f"({_spell(prog, a, visited)}{_SYMBOLS[op]}{_spell(prog, b, visited)})"
+    if k not in visited:
+        visited.append(k)
+    return text
+
+
+def test_ops_spell_the_source_with_each_subterm_once():
+    # The oracle evaluates prog.ops as they are; this checks the shared
+    # subterms against the source text without going through the compiler.
+    for prog in SUITE_PROGRAMS:
+        visited = []
+        lhs, rhs = _spell(prog, prog.lhs, visited), _spell(prog, prog.rhs, visited)
+        assert f"{lhs}={rhs}" == prog.source.replace(" ", ""), prog.source
+        assert len(set(prog.ops)) == len(prog.ops), prog.source
+        assert visited == list(range(len(prog.ops))), prog.source

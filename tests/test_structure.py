@@ -233,6 +233,20 @@ def test_normality_builds_no_group(cc6, m12, monkeypatch):
         assert structure.nilpotency_class(q) == ncls
 
 
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_quotient_projection_is_a_homomorphism_with_kernel_s(q):
+    for s in structure.all_subloops(q):
+        if not structure.is_normal_subloop(q, s):
+            continue
+        qt, coset_of = structure.quotient(q, s)
+        assert sorted(set(coset_of)) == list(range(qt.order))
+        for x in range(q.order):
+            for y in range(q.order):
+                assert coset_of[q.mul(x, y)] == qt.mul(coset_of[x], coset_of[y])
+        assert tuple(x for x in range(q.order) if coset_of[x] == 0) == s.members()
+
+
 def test_quotient_of_z6(z6):
     by3 = SubloopSet.from_members(6, [0, 2, 4])
     qt, coset_of = structure.quotient(z6, by3)
