@@ -45,10 +45,6 @@ class NotNormal(LoopError):
     """Subloop is not invariant under the inner mapping group."""
 
 
-class IllDefined(LoopError):
-    """Coset multiplication is not independent of representatives."""
-
-
 class UnknownVariety(LoopError):
     """Variety id is not in the catalog."""
 

@@ -11,8 +11,12 @@ Compilation produces one register program holding each distinct subterm
 once, operands first, in first-occurrence order: a repeat reads the same
 cells as its first occurrence, so one evaluation blocks and judges as
 each copy would.  On first use the program is compiled again, into
-generated Python, for each of two entry points: ``check_identity``
-decides it on a full table, and ``partial_evaluator`` evaluates one
+generated Python, for each of two uses.  The full-table checker is a
+nested loop whose outermost loop, over x, reads its own range:
+``check_identity`` runs it with every variable over the whole loop, and
+``holders`` runs it once for each candidate a, with x = a and the other
+variables over a given range, to find the a at which a law holds, such
+as the members of a nucleus.  ``partial_evaluator`` evaluates one
 ground instance on a partial table of a given order and reports the
 first cell that blocks it.  The partial evaluator is what
 makes sound search pruning possible: an instance is only judged when
@@ -105,11 +109,30 @@ def compile_identity(source):
 
 def check_identity(q, prog):
     """Whether the identity holds for all assignments; early exit on failure."""
+    everything = range(q.order)
+    return _checker(prog)(*_tables(q, prog), everything, everything)
+
+
+def holders(q, prog, among, others):
+    """The a in ``among``, in order, at which the identity holds for x = a
+    and every other variable ranging over ``others``.  ``prog`` must use x,
+    which its checker's outermost loop binds."""
+    check, tables = _checker(prog), _tables(q, prog)
+    return tuple(a for a in among if check(*tables, (a,), others))
+
+
+def _checker(prog):
+    """The full-table checker, generated on first use."""
     check = prog.compiled.get(None)
     if check is None:
         check = prog.compiled[None] = _build(_full_source(prog), "check")
-    divisions = q.divisions() if prog.divides else (None, None)
-    return check(q.rows, *divisions, range(q.order))
+    return check
+
+
+def _tables(q, prog):
+    """The checker's table arguments: the division tables only when the
+    identity divides, so a multiplication-only identity never builds them."""
+    return (q.rows, *q.divisions()) if prog.divides else (q.rows, None, None)
 
 
 def partial_evaluator(prog, n):
@@ -239,7 +262,8 @@ _TABLES = {MUL: "rows", LDIV: "ld", RDIV: "rd"}
 
 
 def _full_source(prog):
-    """A nested loop over the variables the identity uses.
+    """A nested loop over the variables the identity uses; the outermost
+    one ranges over R0, the others over R.
 
     Each term is computed at the outermost level that binds all of its
     variables, a row of a table is looked up at the level of its row
@@ -289,11 +313,11 @@ def _full_source(prog):
             stmts[level[j]].append(f"t{j} = {row}[{expr[b]}]")
     stmts[depth] += [f"if {expr[lhs]} != {expr[rhs]}:", "    return False"]
 
-    lines = ["def check(rows, ld, rd, R):"]
+    lines = ["def check(rows, ld, rd, R0, R):"]
     indent = "    "
     for d in range(depth + 1):
         if d:
-            lines.append(f"{indent}for v{used[d - 1]} in R:")
+            lines.append(f"{indent}for v{used[d - 1]} in {'R0' if d == 1 else 'R'}:")
             indent += "    "
         lines.extend(indent + s for s in stmts[d])
     lines.append("    return True")

@@ -5,7 +5,7 @@ Composition convention, fixed once for the whole package:
     (p * q)(x) == p(q(x))
 
 i.e. the right factor acts first.  A group is held as a stabilizer chain
-and lists its elements only when asked.  Commutators follow the convention
+and never lists its elements.  Commutators follow the convention
 ``[a, b] = a.inverse() * b.inverse() * a * b``; a calibration test pins
 this against the translation identities satisfied by the corpus.
 """
@@ -164,13 +164,12 @@ class PermGroup:
     are the inputs that ``_chain`` kept, and equality sifts only those.
     """
 
-    __slots__ = ("degree", "generators", "chain", "_elements")
+    __slots__ = ("degree", "generators", "chain")
 
     def __init__(self, degree, generators, chain):
         self.degree = degree
         self.generators = tuple(generators)
         self.chain = chain
-        self._elements = None
 
     @property
     def order(self):
@@ -184,16 +183,6 @@ class PermGroup:
             return False
         h, j = _sift(self.chain, 0, p)
         return j == len(self.chain) and h.is_identity()
-
-    @property
-    def elements(self):
-        """Every element, listed from the chain on first read."""
-        if self._elements is None:
-            els = [Perm.identity(self.degree)]
-            for _base, _gens, transversal in reversed(self.chain):
-                els = [t * g for t in transversal.values() for g in els]
-            self._elements = frozenset(els)
-        return self._elements
 
     def __eq__(self, other):
         return (isinstance(other, PermGroup) and self.order == other.order

@@ -236,8 +236,8 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
         if bare:
             count += 1
             return
-        rows = [cells[i * n : (i + 1) * n] for i in range(n)]
-        q = LoopTable(rows)
+        # The search fills only Latin tables with an identity border.
+        q = LoopTable([cells[i * n : (i + 1) * n] for i in range(n)], check=False)
         for name in required:
             if not check_variety(q, name):
                 return

@@ -5,10 +5,13 @@ in a finite loop each translation maps it injectively into, hence onto,
 itself, so it is closed under both divisions too.  Subloops are therefore
 read off the multiplication table alone.
 
-Nuclei are computed by the O(n^3) definition scan.  Each law holds by the
-loop laws when a, x or y is 0, so every scan counts 0 as a member and
-tests only nonzero a, x and y; ``nucleus`` scans the middle and right laws
-only on members of the left nucleus.
+The nuclei and the center are decided by the compiled checker of
+``loopkit.identities`` with x fixed: each is the set of a at which its
+laws hold, a(xy) = (ax)y for the left nucleus and so on, with xa = ax
+added for the center.  Each law holds by the loop laws when a, x or y is
+0, so 0 counts as a member and only nonzero a, x and y are tested;
+``nucleus`` tests the middle and right laws only on members of the left
+nucleus.
 
 Normality is decided by the standard generators of Inn Q alone, read off
 the tables.  That is exact for finite loops: a generator that maps a
@@ -18,7 +21,8 @@ finite subloop into itself maps it onto itself.
 from __future__ import annotations
 
 from .core import LoopTable
-from .errors import IllDefined, NotASubloop, NotNormal
+from .errors import NotASubloop, NotNormal
+from .identities import compile_identity, holders
 
 
 class SubloopSet:
@@ -70,64 +74,51 @@ def is_subloop(q, s):
     return all(mask >> rows[x][y] & 1 for x in mem for y in mem)
 
 
+# The nucleus laws and commutativity, each with a as x: a(xy) = (ax)y,
+# x(ay) = (xa)y, x(ya) = (xy)a and xa = ax.
+_LEFT = compile_identity("(x*(y*z)) = ((x*y)*z)")
+_MIDDLE = compile_identity("(y*(x*z)) = ((y*x)*z)")
+_RIGHT = compile_identity("(y*(z*x)) = ((y*z)*x)")
+_COMMUTE = compile_identity("(y*x) = (x*y)")
+
+
+def _members_by_laws(q, laws):
+    """The a at which every one of ``laws`` holds for all values of the
+    other variables.  Each law holds by the loop laws when a variable is
+    0, so 0 is a member and only nonzero a, x and y are tested; each law
+    tests only the a that passed the ones before it."""
+    nonzero = range(1, q.order)
+    members = nonzero
+    for law in laws:
+        members = holders(q, law, members, nonzero)
+    return SubloopSet.from_members(q.order, (0, *members))
+
+
 def left_nucleus(q):
     """N_lambda: the a with a(xy) = (ax)y for all x, y."""
-    rows = q.rows
-    inner = range(1, q.order)
-    out = [0]
-    for a in inner:
-        arow = rows[a]
-        if all(arow[rows[x][y]] == rows[arow[x]][y] for x in inner for y in inner):
-            out.append(a)
-    return SubloopSet.from_members(q.order, out)
+    return _members_by_laws(q, (_LEFT,))
 
 
 def middle_nucleus(q):
     """N_mu: the a with x(ay) = (xa)y for all x, y."""
-    rows = q.rows
-    inner = range(1, q.order)
-    out = [0]
-    for a in inner:
-        arow = rows[a]
-        if all(rows[x][arow[y]] == rows[rows[x][a]][y] for x in inner for y in inner):
-            out.append(a)
-    return SubloopSet.from_members(q.order, out)
+    return _members_by_laws(q, (_MIDDLE,))
 
 
 def right_nucleus(q):
     """N_rho: the a with x(ya) = (xy)a for all x, y."""
-    rows = q.rows
-    inner = range(1, q.order)
-    out = [0]
-    for a in inner:
-        if all(rows[x][rows[y][a]] == rows[rows[x][y]][a] for x in inner for y in inner):
-            out.append(a)
-    return SubloopSet.from_members(q.order, out)
+    return _members_by_laws(q, (_RIGHT,))
 
 
 def nucleus(q):
     """N_lambda & N_mu & N_rho: the middle and right laws are tested only
-    on the nonidentity members of the left nucleus.  They hold whenever x
-    or y is 0, so those pairs are skipped."""
-    rows = q.rows
-    inner = range(1, q.order)
-    out = [0]
-    for a in left_nucleus(q).members()[1:]:
-        arow = rows[a]
-        if all(
-            rows[x][arow[y]] == rows[rows[x][a]][y] and rows[x][rows[y][a]] == rows[rows[x][y]][a]
-            for x in inner
-            for y in inner
-        ):
-            out.append(a)
-    return SubloopSet.from_members(q.order, out)
+    on the members of the left nucleus."""
+    return _members_by_laws(q, (_LEFT, _MIDDLE, _RIGHT))
 
 
 def center(q):
-    """The members of the nucleus whose row equals their column."""
-    rows = q.rows
-    out = [a for a in nucleus(q).members() if rows[a] == tuple(row[a] for row in rows)]
-    return SubloopSet.from_members(q.order, out)
+    """The members of the nucleus that commute with every element.
+    Commutativity, the cheapest law to test, goes first."""
+    return _members_by_laws(q, (_COMMUTE, _LEFT, _MIDDLE, _RIGHT))
 
 
 def subloop_generated(q, seed):
@@ -215,34 +206,22 @@ def quotient(q, s):
     """The factor loop Q/S and the projection id -> coset index.
 
     Cosets are indexed by their least member, ascending, so the coset of 0
-    is the identity of the quotient.  Raises NotNormal if s is not normal
-    and IllDefined if coset multiplication depends on representatives.
+    is the identity of the quotient.  Raises NotNormal if s is not normal.
+    For a normal subloop the cosets xS partition Q and the coset of a
+    product depends only on the cosets of its factors (Bruck, 1946), so
+    each coset is represented by the x that opens it, its least member.
     """
     if not is_normal_subloop(q, s):
         raise NotNormal(f"{s!r} is not normal")
-    n = q.order
-    coset_of = [-1] * n
+    rows, mem = q.rows, s.members()
+    coset_of = [-1] * q.order
     reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        members = sorted(q.mul(x, m) for m in s.members())
-        for y in members:
-            if coset_of[y] >= 0:
-                raise IllDefined("left cosets do not partition")
-            coset_of[y] = idx
-        reps.append(members[0])
-    m = len(reps)
-    rows = [[0] * m for _ in range(m)]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            rows[i][j] = coset_of[q.mul(a, b)]
-    for x in range(n):
-        for y in range(n):
-            if coset_of[q.mul(x, y)] != rows[coset_of[x]][coset_of[y]]:
-                raise IllDefined("coset product depends on representatives")
-    table = LoopTable(tuple(tuple(r) for r in rows), check=False)
+    for x, xrow in enumerate(rows):
+        if coset_of[x] < 0:
+            for m in mem:
+                coset_of[xrow[m]] = len(reps)
+            reps.append(x)
+    table = LoopTable([[coset_of[rows[a][b]] for b in reps] for a in reps], check=False)
     return table, tuple(coset_of)
 
 

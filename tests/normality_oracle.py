@@ -8,13 +8,14 @@ itself.
 
 from loopkit import perms, structure
 from loopkit.errors import NotASubloop
+from perms_oracle import elements
 
 
 def is_normal_subloop(q, s):
     """Invariance of s under every element of Inn Q."""
     if not structure.is_subloop(q, s):
         raise NotASubloop(f"{s!r} is not a subloop")
-    for p in perms.inn(q).elements:
+    for p in elements(perms.inn(q)):
         img = 0
         for x in s.members():
             img |= 1 << p.images[x]

@@ -1,6 +1,6 @@
 """The nuclei through fixed points of inner mappings, kept as the
-reference that the definition scans in ``loopkit.structure`` are tested
-against.
+reference that the nuclei of ``loopkit.structure``, decided by the
+compiled identity checker, are tested against.
 
 Under this package's composition convention the fixed points of the
 L-family generators are the *right* nucleus and the fixed points of the
@@ -29,7 +29,7 @@ def fixed_points(perms):
 def nuclei_from_inner_mappings(q):
     """(left, middle, right) nuclei via fixed points of inner mappings.
 
-    Independent of the definition scans: left comes from the R-family
+    Independent of the identity checker: left comes from the R-family
     generators, right from the L-family, middle from the commutators.
     """
     n = q.order

@@ -1,7 +1,8 @@
 """Breadth-first group closure, kept as the reference that the stabilizer
-chains of ``loopkit.perms`` are tested against, the textbook normality
-test by conjugating generators, and the standard generators of the inner
-mapping group, which the tests close to check ``loopkit.perms.inn``."""
+chains of ``loopkit.perms`` are tested against, the listing of a group's
+elements from its chain, the textbook normality test by conjugating
+generators, and the standard generators of the inner mapping group, which
+the tests close to check ``loopkit.perms.inn``."""
 
 from loopkit.perms import Perm
 
@@ -36,6 +37,16 @@ def closure_elements(generators):
                     els.add(q)
                     new.append(q)
         frontier = new
+    return frozenset(els)
+
+
+def elements(group):
+    """Every element of a ``loopkit.perms.PermGroup``, listed from its
+    stabilizer chain: each element is one product of transversal elements,
+    one from each level, the deepest acting first."""
+    els = [Perm.identity(group.degree)]
+    for _base, _gens, transversal in reversed(group.chain):
+        els = [t * g for t in transversal.values() for g in els]
     return frozenset(els)
 
 

@@ -12,7 +12,7 @@ from identity_oracle import UNDET, eval_partial, holds_at
 from identity_oracle import VIOLATED as ORACLE_VIOLATED
 from identity_oracle import check_identity as oracle_check_identity
 from loop_strategies import loops, partial_latin_grids
-from loopkit import varieties
+from loopkit import structure, varieties
 from loopkit.identities import (
     CONST,
     LDIV,
@@ -23,6 +23,7 @@ from loopkit.identities import (
     VIOLATED,
     check_identity,
     compile_identity,
+    holders,
     nontrivial_assignments,
     partial_evaluator,
     positions,
@@ -198,6 +199,25 @@ PROGRAMS = tuple(
 def test_compiled_checker_matches_oracle(q):
     for prog in PROGRAMS:
         assert check_identity(q, prog) == oracle_check_identity(q, prog), prog.source
+
+
+# The laws that decide the nuclei and the center, and the identities of
+# the suite's two nuclear square rows, each with the tested element as x.
+HOLDER_PROGRAMS = (structure._LEFT, structure._MIDDLE, structure._RIGHT, structure._COMMUTE,
+                   *varieties._NUCLEAR_SQUARE_EQS.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_holders_match_oracle(q):
+    n = q.order
+    for prog in HOLDER_PROGRAMS:
+        for others in (range(n), range(1, n)):
+            expected = tuple(
+                a for a in range(n)
+                if all(holds_at(q, prog, (a, *rest))
+                       for rest in product(others, repeat=prog.nvars - 1)))
+            assert holders(q, prog, range(n), others) == expected, prog.source
 
 
 @settings(max_examples=300, deadline=None)

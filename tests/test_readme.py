@@ -1,8 +1,11 @@
-"""The README's library example runs and prints what its comments say, and
-its command-line examples parse."""
+"""The README's library example runs and prints what its comments say, its
+command-line synopsis names each command's options, and its command-line
+examples parse."""
 
+import argparse
 import ast
 import io
+import re
 import shlex
 import tokenize
 from pathlib import Path
@@ -56,3 +59,32 @@ def test_command_examples_parse():
     assert len(lines) == 10
     for line in lines:
         cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+def synopsis_options():
+    """{command: the ``--options`` its synopsis names} for each ``loopkit
+    <command>`` line of the first fenced block under "## Command line",
+    with the indented lines that continue it."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    text = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("loopkit "):
+            command = line.split()[1]
+            text[command] = line
+        elif line.startswith(" ") and command:
+            text[command] += line
+    return {command: set(re.findall(r"--[a-z][a-z-]*", line))
+            for command, line in text.items() if not command.startswith("-")}
+
+
+def test_synopsis_names_every_option_of_each_command():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        command: {opt for a in parser._actions for opt in a.option_strings
+                  if opt.startswith("--") and opt != "--help"}
+        for command, parser in action.choices.items()
+    }
+    assert synopsis_options() == parsed

@@ -68,9 +68,10 @@ def test_reduced_counts_match_naive_oracle():
 
 def test_full_table_sets_match_naive_oracle():
     for order in (4, 5):
-        engine = tables(search(SearchSpec(order=order, mode="collect")).found)
-        naive = tables(enumerate_reduced_naive(order))
-        assert engine == naive
+        found = search(SearchSpec(order=order, mode="collect")).found
+        # Leaf tables are built unchecked; each must pass the table checks.
+        assert [LoopTable(q.rows) for q in found] == found
+        assert tables(found) == tables(enumerate_reduced_naive(order))
 
 
 def test_counts_up_to_isomorphism():
@@ -81,6 +82,8 @@ def test_up_to_iso_representatives_cover_order5():
     reps = search(SearchSpec(order=5, mode="collect", isomorphs="up_to_iso")).found
     assert len(reps) == 6
     for i, a in enumerate(reps):
+        # Leaf tables are built unchecked; each must pass the table checks.
+        assert LoopTable(a.rows) == a
         for b in reps[i + 1:]:
             assert isomorphic(a, b) is None
     for q in enumerate_reduced_naive(5):
@@ -138,7 +141,7 @@ def test_modes_are_consistent():
     assert len(first.found) == 1
     assert not first.complete
     assert first.found[0].rows in [q.rows for q in collected.found]
-    # The collect checks each table it builds.
+    # A collect keeps every table that a bare count counts.
     assert count_reduced(6) == len(search(SearchSpec(6, mode="collect")).found) == 9408
 
 

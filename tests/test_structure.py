@@ -106,7 +106,10 @@ def test_nucleus_matches_inner_mappings_on_random_loops(classes6, q, data):
         assert structure.left_nucleus(p) == left
         assert structure.middle_nucleus(p) == middle
         assert structure.right_nucleus(p) == right
-        assert structure.nucleus(p) == SubloopSet(p.order, left.mask & middle.mask & right.mask)
+        nuc = SubloopSet(p.order, left.mask & middle.mask & right.mask)
+        assert structure.nucleus(p) == nuc
+        assert structure.center(p) == SubloopSet.from_members(
+            p.order, [a for a in nuc.members() if p.L(a) == p.R(a)])
 
 
 def test_subloop_generated(z6, s3):
