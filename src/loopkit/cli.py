@@ -52,37 +52,35 @@ def _format_set(s):
 # check
 
 
-def _nucleus_quotient_line(q, nuc):
-    if len(nuc) == q.order:
+def _nucleus_quotient_line(ctx):
+    if len(ctx.nucleus) == ctx.q.order:
         return "nucleus quotient: trivial (nucleus is everything)"
-    if len(nuc) == 1:
+    if len(ctx.nucleus) == 1:
         return "nucleus quotient: n/a (nucleus is trivial)"
     try:
-        qt, _ = structure.quotient(q, nuc)
+        factor = ctx.factor
     except NotNormal:
         return "nucleus quotient: n/a (nucleus not normal)"
-    flags = varieties.check_varieties(qt, ("associative", "commutative"))
-    if flags["associative"] and flags["commutative"]:
+    if factor.flag("associative") and factor.flag("commutative"):
         return "nucleus quotient: abelian group"
     return "nucleus quotient: not an abelian group"
 
 
 def cmd_check(args):
     q = load_path(args.path, max_order=args.max_order)
+    ctx = varieties.Context(q)
     print(f"path: {args.path}")
     print(f"order: {q.order}")
-    print(f"left nucleus: {_format_set(structure.left_nucleus(q))}")
-    print(f"middle nucleus: {_format_set(structure.middle_nucleus(q))}")
-    print(f"right nucleus: {_format_set(structure.right_nucleus(q))}")
-    nuc = structure.nucleus(q)
-    print(f"nucleus: {_format_set(nuc)}")
-    print(f"center: {_format_set(structure.center(q))}")
-    ncls = structure.nilpotency_class(q)
+    for kind, nuc in zip(("left", "middle", "right"), ctx.nuclei):
+        print(f"{kind} nucleus: {_format_set(nuc)}")
+    print(f"nucleus: {_format_set(ctx.nucleus)}")
+    print(f"center: {_format_set(ctx.center)}")
+    ncls = ctx.nilpotency_class
     print(f"nilpotency class: {ncls if ncls is not None else 'none'}")
-    print(_nucleus_quotient_line(q, nuc))
-    names = [name for name in varieties.catalog_names() if name != "gloop" or args.gloop]
-    for name, flag in varieties.check_varieties(q, names).items():
-        print(f"{name}: {'yes' if flag else 'no'}")
+    print(_nucleus_quotient_line(ctx))
+    for name in varieties.catalog_names():
+        if name != "gloop" or args.gloop:
+            print(f"{name}: {'yes' if ctx.flag(name) else 'no'}")
     return EXIT_OK
 
 

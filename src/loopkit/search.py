@@ -39,7 +39,7 @@ from math import inf
 from .core import LoopTable, _least_rows, canonical_key
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator, positions
-from .varieties import check_variety, get_entry, propagation_programs
+from .varieties import Context, get_entry, propagation_programs
 
 _MODES = ("collect", "count", "first")
 _ISOMORPHS = ("reduced", "up_to_iso")
@@ -238,11 +238,9 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
             return
         # The search fills only Latin tables with an identity border.
         q = LoopTable([cells[i * n : (i + 1) * n] for i in range(n)], check=False)
-        for name in required:
-            if not check_variety(q, name):
-                return
-        for name in forbidden:
-            if check_variety(q, name):
+        if required or forbidden:
+            ctx = Context(q)
+            if not all(map(ctx.flag, required)) or any(map(ctx.flag, forbidden)):
                 return
         if up_to_iso:
             rows = tuple(map(tuple, _least_rows(q)))

@@ -16,6 +16,10 @@ nucleus.
 Normality is decided by the standard generators of Inn Q alone, read off
 the tables.  That is exact for finite loops: a generator that maps a
 finite subloop into itself maps it onto itself.
+
+``nilpotency_class`` reads ``loopkit.varieties.Context``, the per-loop
+cache that ``loopkit check``, the order-16 report and search leaves read,
+and the one place that walks the upper central series.
 """
 
 from __future__ import annotations
@@ -227,12 +231,5 @@ def quotient(q, s):
 
 def nilpotency_class(q):
     """Length of the upper central series, or None if it stalls below Q."""
-    current = q
-    steps = 0
-    while current.order > 1:
-        z = center(current)
-        if len(z) == 1:
-            return None
-        current, _ = quotient(current, z)
-        steps += 1
-    return steps
+    from .varieties import Context  # varieties imports this module
+    return Context(q).nilpotency_class

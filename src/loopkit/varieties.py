@@ -13,7 +13,7 @@ from functools import cached_property
 
 from . import perms, structure
 from .core import isomorphic, opposite, principal_isotope
-from .errors import NotNormal, UnknownVariety
+from .errors import UnknownVariety
 from .identities import check_identity, compile_identity, holders
 from .perms import Perm
 
@@ -202,18 +202,10 @@ def get_entry(name):
         raise UnknownVariety(name) from None
 
 
-def check_varieties(q, names):
-    """{name: whether q is in the catalog entry ``name``} for each of
-    ``names``, decided in one context, so an entry shared by several of
-    them, as a conjunction's part, is decided once."""
-    ctx = _Ctx(q)
-    return {name: ctx.flag(name) for name in names}
-
-
 def check_variety(q, name):
-    """Whether q is in the catalog entry ``name``: ``check_varieties`` for
-    one name.  The theorem suite keeps one context for each loop."""
-    return check_varieties(q, (name,))[name]
+    """Whether q is in the catalog entry ``name``.  To decide several
+    entries of one loop, share one ``Context``: it decides each once."""
+    return Context(q).flag(name)
 
 
 def propagation_programs(name):
@@ -322,8 +314,9 @@ _NUCLEAR_SQUARE_EQS = {
 }
 
 
-class _Ctx:
-    """Per-loop cache of catalog flags and of what the suite's rows share."""
+class Context:
+    """One loop's cached flags, nuclei, center, their quotients and nilpotency class,
+    for the suite, ``loopkit check``, the order-16 report and search leaves."""
 
     def __init__(self, q):
         self.q = q
@@ -388,9 +381,32 @@ class _Ctx:
 
     @cached_property
     def factor(self):
-        """The context of the quotient by the nucleus, for rows whose
-        hypothesis makes the nucleus normal."""
-        return _Ctx(structure.quotient(self.q, self.nucleus)[0])
+        """The context of the quotient by the nucleus.  Raises NotNormal
+        when the nucleus is not normal: the suite asks only where its
+        row's hypothesis makes it normal, ``loopkit check`` on any loop."""
+        return Context(structure.quotient(self.q, self.nucleus)[0])
+
+    @cached_property
+    def center(self):
+        return structure.center(self.q)
+
+    @cached_property
+    def central_factor(self):
+        """The context of the quotient by the center, which is always
+        normal: each standard inner generator fixes a central a, as
+        L(x,y)a = (xy)\\((xy)a) = a, R(x,y)a = (a(yx))/(yx) = a and
+        T(x)a = x\\(xa) = a."""
+        return Context(structure.quotient(self.q, self.center)[0])
+
+    @cached_property
+    def nilpotency_class(self):
+        """Length of the upper central series, or None if it stalls below Q."""
+        if self.q.order == 1:
+            return 0
+        if len(self.center) == 1:
+            return None
+        below = self.central_factor.nilpotency_class
+        return None if below is None else below + 1
 
 
 def _sq_in(ctx, which):
@@ -586,7 +602,7 @@ def verify_theorems(q, loop_id="loop"):
     N/A for it.  A FAIL on any loop means the implementation (not the
     mathematics) is wrong somewhere.
     """
-    ctx = _Ctx(q)
+    ctx = Context(q)
     rows = []
     for check_id, applies, verdict in _SUITE:
         if not applies(ctx):
@@ -598,8 +614,8 @@ def verify_theorems(q, loop_id="loop"):
 
 def is_proper_osborn(q):
     """Osborn but neither Moufang nor conjugacy closed."""
-    flags = check_varieties(q, ("osborn", "moufang", "cc"))
-    return flags["osborn"] and not flags["moufang"] and not flags["cc"]
+    ctx = Context(q)
+    return ctx.flag("osborn") and not ctx.flag("moufang") and not ctx.flag("cc")
 
 
 def order16_report(q, loop_id="loop"):
@@ -616,31 +632,22 @@ def order16_report(q, loop_id="loop"):
 
     if q.order != 16:
         raise ValueError(f"expected order 16, got {q.order}")
-    rows = []
-    z = structure.center(q)
-    rows.append(("center_order_two", "PASS" if len(z) == 2 else "FAIL"))
+    ctx = Context(q)
+    rows = [("center_order_two", "PASS" if len(ctx.center) == 2 else "FAIL")]
     d8 = dihedral(4)
     has_d8 = any(len(s) == 8 and isomorphic(structure.subloop_table(q, s), d8)
                  for s in structure.all_subloops(q))
     rows.append(("dihedral8_subloop", "PASS" if has_d8 else "FAIL"))
-    try:
-        qt, _ = structure.quotient(q, z)
-    except NotNormal:
-        qt = None
-    rows.append(("central_quotient_order_eight",
-                 "PASS" if qt is not None and qt.order == 8 else "FAIL"))
-    if qt is not None and qt.order == 8:
-        flags = check_varieties(qt, ("associative", "wip", "cc"))
-        rows.append(("central_quotient_nonassociative",
-                     "PASS" if not flags["associative"] else "FAIL"))
-        rows.append(("central_quotient_wip", "PASS" if flags["wip"] else "FAIL"))
-        rows.append(("central_quotient_cc", "PASS" if flags["cc"] else "FAIL"))
-    else:
-        rows.append(("central_quotient_nonassociative", "N/A"))
-        rows.append(("central_quotient_wip", "N/A"))
-        rows.append(("central_quotient_cc", "N/A"))
+    qt = ctx.central_factor
+    eight = qt.q.order == 8
+    rows.append(("central_quotient_order_eight", "PASS" if eight else "FAIL"))
+    for check_id, verdict in (
+            ("central_quotient_nonassociative", lambda c: not c.flag("associative")),
+            ("central_quotient_wip", _flags("wip")),
+            ("central_quotient_cc", _flags("cc"))):
+        rows.append((check_id, ("PASS" if verdict(qt) else "FAIL") if eight else "N/A"))
     rows.append(("nilpotency_class_three",
-                 "PASS" if structure.nilpotency_class(q) == 3 else "FAIL"))
+                 "PASS" if ctx.nilpotency_class == 3 else "FAIL"))
     ident = Perm.identity(q.order)
     fourth = all(q.L(x) ** 4 == ident and q.R(x) ** 4 == ident
                  for x in range(q.order))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from loopkit import structure
 from loopkit.core import LoopTable
 from loopkit.search import SearchSpec, search
 from loopkit.tables import chein_double, cyclic, dihedral
@@ -71,3 +72,19 @@ def classes6():
     """Order-6 loops up to isomorphism, with ids."""
     res = search(SearchSpec(order=6, mode="collect", isomorphs="up_to_iso"))
     return [(f"order6-{i}", q) for i, q in enumerate(res.found)]
+
+
+@pytest.fixture()
+def holders_runs(monkeypatch):
+    """A one-item list that counts the a that ``structure.holders`` tests,
+    each a per-element run of the compiled checker."""
+    runs = [0]
+    real = structure.holders
+
+    def counting(q, prog, among, others):
+        among = tuple(among)
+        runs[0] += len(among)
+        return real(q, prog, among, others)
+
+    monkeypatch.setattr(structure, "holders", counting)
+    return runs

@@ -108,6 +108,16 @@ def test_check_decides_the_catalog_in_one_context(m12, tmp_path, capsys, monkeyp
     assert max(evaluated.values()) == 2
 
 
+def test_check_decides_each_structure_once(m12, tmp_path, capsys, holders_runs):
+    # The three nuclei take 3(n - 1) runs, and the center n - 1 for
+    # commutativity and three more for each nonzero a that commutes.  The
+    # nucleus and the nilpotency class reuse them: Z16 is its own center.
+    for q, runs in ((cyclic(16), 45 + 60), (m12, 33 + 11)):
+        holders_runs[0] = 0
+        _check_output(q, tmp_path, capsys)
+        assert holders_runs[0] == runs
+
+
 def test_check_gloop_flag(z4_file, capsys):
     assert cli.main(["check", z4_file, "--gloop"]) == 0
     assert "gloop: yes" in capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import center_oracle
 import subloop_oracle
 from loop_strategies import loops, relabel
 from loopkit import perms, structure
@@ -13,6 +14,7 @@ from loopkit.core import isomorphic
 from loopkit.errors import NotASubloop, NotNormal
 from loopkit.structure import SubloopSet
 from loopkit.tables import chein_double, cyclic, dihedral
+from loopkit.varieties import Context
 from normality_oracle import is_normal_subloop as oracle_is_normal
 from nuclei_oracle import nuclei_from_inner_mappings
 
@@ -281,6 +283,32 @@ def test_nilpotency_classes_of_groups(z6, s3):
     assert structure.nilpotency_class(dihedral(4)) == 2
     assert structure.nilpotency_class(dihedral(8)) == 3
     assert structure.nilpotency_class(cyclic(1)) == 0
+
+
+def _assert_context_matches_oracle(q):
+    ctx = Context(q)
+    z = center_oracle.center(q)
+    assert ctx.center == z
+    assert ctx.central_factor.q.rows == center_oracle.quotient(q, z).rows
+    assert ctx.central_factor.q.order * len(ctx.center) == q.order
+    ncls = center_oracle.nilpotency_class(q)
+    assert ctx.nilpotency_class == ncls
+    assert structure.nilpotency_class(q) == ncls
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_context_center_and_class_match_oracle(q):
+    _assert_context_matches_oracle(q)
+
+
+def test_context_center_and_class_match_oracle_on_named_loops(classes6, m12):
+    # Two order-6 classes have a commuting element of the left nucleus
+    # outside the center, and random loops have class 0, 1 or none, so
+    # these add loops of class 2 and 3.
+    for q in (*(q for _id, q in classes6), m12, dihedral(4), dihedral(8),
+              chein_double(dihedral(4))):
+        _assert_context_matches_oracle(q)
 
 
 def test_moufang_double_not_nilpotent(m12):

@@ -290,7 +290,7 @@ def _translation_verdicts(q):
     """The converted rows' verdicts, whether or not the rows apply, and the
     identities that stand for the translation conditions of the ten-way
     and five-way agreements."""
-    ctx = varieties._Ctx(q)
+    ctx = varieties.Context(q)
     lc = check_variety(q, "lc")
     return (
         {check_id: _VERDICTS[check_id](ctx) for check_id in theorem_oracle.ROUTES},
@@ -326,7 +326,7 @@ def test_translation_rows_build_no_translation(cc6, m12, monkeypatch):
     monkeypatch.setattr(LoopTable, "L", no_translation)
     monkeypatch.setattr(LoopTable, "R", no_translation)
     for q, statuses in cases:
-        ctx = varieties._Ctx(q)
+        ctx = varieties.Context(q)
         for check_id, applies, verdict in varieties._SUITE:
             if check_id in _CONVERTED:
                 holds = verdict(ctx)
@@ -340,7 +340,7 @@ def test_mlt_normality_sifts_agree_with_conjugating_generators(
     # order-6 classes bring the loops where a side is not.
     verdicts = Counter()
     for _id, q in corpus5 + classes6 + [(None, q) for q in (z4, z6, s3, d8, q5, cc6, m12)]:
-        ctx = varieties._Ctx(q)
+        ctx = varieties.Context(q)
         ls = [q.L(x) for x in range(q.order)]
         rs = [q.R(x) for x in range(q.order)]
         for side, build, own in (("left", perms.mlt_left, ls), ("right", perms.mlt_right, rs)):
@@ -362,7 +362,7 @@ def test_mlt_normality_sifts_only_kept_generators(cc6, m12, monkeypatch):
 
     monkeypatch.setattr(perms.PermGroup, "__contains__", counting)
     for q, expected in ((cc6, 4), (m12, 49), (cyclic(16), 1)):
-        ctx = varieties._Ctx(q)
+        ctx = varieties.Context(q)
         for side in ("left", "right"):
             sifts[0] = 0
             assert ctx.normal_in_mlt(side)
@@ -415,6 +415,16 @@ def test_order16_report_on_doubled_d8():
     assert statuses["fourth_power_translations"] == "yes"
     assert statuses["center_order_two"] == "PASS"
     assert statuses["dihedral8_subloop"] == "PASS"
+
+
+def test_order16_report_decides_the_center_once(holders_runs):
+    # The centers of D16, D8 and Z2^2 take 15 + 3, 7 + 3 and 3 + 9 runs, and
+    # Z16's takes 4 * 15: the nilpotency class reuses the first center and
+    # its quotient.
+    for q, runs in ((dihedral(8), 18 + 10 + 12), (cyclic(16), 60)):
+        holders_runs[0] = 0
+        order16_report(q)
+        assert holders_runs[0] == runs
 
 
 def test_order16_report_lets_unexpected_errors_through(monkeypatch):
