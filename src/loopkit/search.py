@@ -36,7 +36,7 @@ from math import inf
 
 # canonical_key is imported for callers that take it from this module,
 # such as perfbench.
-from .core import LoopTable, _least_rows, canonical_key
+from .core import LoopTable, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator, positions
 from .varieties import Context, get_entry, propagation_programs
@@ -129,10 +129,12 @@ def search(spec, budget_nodes=None, budget_seconds=None):
     pool of at most one worker process per CPU and merge in slice order:
     visited counts add up, "up_to_iso" keeps each class at its first
     appearance, and "first" keeps the first witness and is complete only
-    when no slice found one.  Each slice gets ceil(budget_nodes / k)
-    nodes.  ``budget_seconds`` and ``elapsed`` are measured from this
-    call, whether or not the work waits for a worker.  Raises
-    BudgetExceeded, with the nodes of every slice, when a budget runs out.
+    when no slice found one.  A pooled "first" runs every slice to its own
+    first witness, so its visited count is deterministic but grows with k.
+    Each slice gets ceil(budget_nodes / k) nodes.  ``budget_seconds`` and
+    ``elapsed`` are measured from this call, whether or not the work waits
+    for a worker.  Raises BudgetExceeded, with the nodes of every slice,
+    when a budget runs out.
     """
     start = time.monotonic()
     if spec.shards > 1:
@@ -187,9 +189,10 @@ def _slice_worker(spec, budget_nodes, budget_seconds, start):
 def _search_slice(spec, budget_nodes, budget_seconds, start):
     """The search of ``spec`` in this process, with ``spec.shards`` == 1.
 
-    The instances are built once.  Each row-1 preseed of the slice then
-    starts from a fresh table, position index and watch lists, and the node
-    count runs on across the preseeds.
+    Slice i of k > 1 takes every k-th prefix of ``_row1_prefixes(n, k)``
+    from the i-th on as its row-1 preseeds.  The instances are built once.
+    Each preseed then starts from a fresh table, position index and watch
+    lists, and the node count runs on across the preseeds.
     """
     n = spec.order
     n2 = n * n
@@ -202,11 +205,7 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
     preseeds = [()]
     if spec.shard_slice and spec.shard_slice[1] > 1:
         index, k = spec.shard_slice
-        preseeds = [
-            [(n + 1 + j, v) for j, v in enumerate(p)]
-            for i, p in enumerate(_row1_prefixes(n, k))
-            if i % k == index
-        ]
+        preseeds = _row1_prefixes(n, k)[index::k]
 
     # The ground instances of the required programs that are not loop-law
     # tautologies, as (evaluator, assignment).  An entry with a predicate
@@ -243,12 +242,10 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
             if not all(map(ctx.flag, required)) or any(map(ctx.flag, forbidden)):
                 return
         if up_to_iso:
-            rows = tuple(map(tuple, _least_rows(q)))
-            if rows in seen_canonical:
+            q = canonical_table(q)
+            if q.rows in seen_canonical:
                 return
-            seen_canonical.add(rows)
-            if keep:
-                q = LoopTable(rows, check=False)
+            seen_canonical.add(q.rows)
         count += 1
         if keep:
             found.append(q)
@@ -365,12 +362,10 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
             row_free = [0] + [full & ~(1 << i) for i in range(1, n)]
             col_free = [0] + [full & ~(1 << j) for j in range(1, n)]
             excl = [0] * n2
-            for idx, v in preseed:
-                r, c = divmod(idx, n)
-                bit = 1 << v
-                cells[idx] = v
-                row_free[r] ^= bit
-                col_free[c] ^= bit
+            for j, v in enumerate(preseed, 1):
+                cells[n + j] = v
+                row_free[1] ^= 1 << v
+                col_free[j] ^= 1 << v
             # The position index of cells, which the evaluators read
             # divisions from; every change to cells makes the same change
             # here.  watch[cell] lists the open instances blocked on that
@@ -398,28 +393,17 @@ def _row1_prefixes(n, k):
     """Row-1 prefixes of the minimal length whose count reaches k.
 
     The prefixes are tuples of values for cells (1,1)..(1,length) in
-    lexicographic order.  With fewer total prefixes than shards,
-    high-index shards are simply empty.  A prefix holds distinct values,
-    none 1 or its own column, so it never conflicts with the border.
+    lexicographic order, extended a column at a time.  With fewer prefixes
+    than shards, high-index shards are empty.  A prefix holds distinct
+    values, none 1 or its own column, so it never meets the border.
     """
+    prefixes = [()]
     if n < 3:
-        return [()]
-    for length in range(1, n):
-        prefixes = []
-
-        def rec(j, used, acc):
-            if j > length:
-                prefixes.append(tuple(acc))
-                return
-            for v in range(n):
-                if v == 1 or v == j or used & (1 << v):
-                    continue
-                acc.append(v)
-                rec(j + 1, used | (1 << v), acc)
-                acc.pop()
-
-        rec(1, 0, [])
-        if len(prefixes) >= k or length == n - 1:
+        return prefixes
+    for j in range(1, n):
+        prefixes = [p + (v,) for p in prefixes for v in range(n)
+                    if v != 1 and v != j and v not in p]
+        if len(prefixes) >= k or j == n - 1:
             return prefixes
 
 

@@ -7,11 +7,11 @@ read off the multiplication table alone.
 
 The nuclei and the center are decided by the compiled checker of
 ``loopkit.identities`` with x fixed: each is the set of a at which its
-laws hold, a(xy) = (ax)y for the left nucleus and so on, with xa = ax
-added for the center.  Each law holds by the loop laws when a, x or y is
-0, so 0 counts as a member and only nonzero a, x and y are tested;
-``nucleus`` tests the middle and right laws only on members of the left
-nucleus.
+laws hold, a(xy) = (ax)y for the left nucleus and so on.  The center
+tests xa = ax and the left and middle laws, which give the right one.
+Each law holds by the loop laws when a, x or y is 0, so 0 counts as a
+member and only nonzero a, x and y are tested; ``nucleus`` tests the
+middle and right laws only on members of the left nucleus.
 
 Normality is decided by the standard generators of Inn Q alone, read off
 the tables.  That is exact for finite loops: a generator that maps a
@@ -121,8 +121,10 @@ def nucleus(q):
 
 def center(q):
     """The members of the nucleus that commute with every element.
-    Commutativity, the cheapest law to test, goes first."""
-    return _members_by_laws(q, (_COMMUTE, _LEFT, _MIDDLE, _RIGHT))
+    Commutativity, the cheapest law to test, goes first.  The right law
+    then follows from the left and middle ones and is not tested:
+    x(ya) = x(ay) = (xa)y = (ax)y = a(xy) = (xy)a."""
+    return _members_by_laws(q, (_COMMUTE, _LEFT, _MIDDLE))
 
 
 def subloop_generated(q, seed):

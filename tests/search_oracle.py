@@ -62,6 +62,20 @@ def enumerate_reduced_naive(order, required=(), forbidden=()):
     return out
 
 
+def row1_prefixes(n, k):
+    """What ``_row1_prefixes(n, k)`` returns, from every value tuple of
+    each length in lexicographic order, kept when its values are distinct
+    and none is 1 or its own column.  The first length whose count
+    reaches k is taken, or n - 1; orders below 3 are not split."""
+    if n < 3:
+        return [()]
+    for length in range(1, n):
+        prefixes = [p for p in product(range(n), repeat=length)
+                    if len(set(p)) == length and all(v not in (1, j) for j, v in enumerate(p, 1))]
+        if len(prefixes) >= k or length == n - 1:
+            return prefixes
+
+
 def search_slices_serially(spec, k):
     """What ``search(replace(spec, shards=k))`` returns, from the slices of
     ``shard(spec, k)`` run one after another in this process and merged in

@@ -110,9 +110,9 @@ def test_check_decides_the_catalog_in_one_context(m12, tmp_path, capsys, monkeyp
 
 def test_check_decides_each_structure_once(m12, tmp_path, capsys, holders_runs):
     # The three nuclei take 3(n - 1) runs, and the center n - 1 for
-    # commutativity and three more for each nonzero a that commutes.  The
+    # commutativity and two more for each nonzero a that commutes.  The
     # nucleus and the nilpotency class reuse them: Z16 is its own center.
-    for q, runs in ((cyclic(16), 45 + 60), (m12, 33 + 11)):
+    for q, runs in ((cyclic(16), 45 + 45), (m12, 33 + 11)):
         holders_runs[0] = 0
         _check_output(q, tmp_path, capsys)
         assert holders_runs[0] == runs

@@ -29,6 +29,7 @@ from search_oracle import (
     enumerate_reduced_naive,
     identity_status,
     propagate_identity,
+    row1_prefixes,
     search_slices_serially,
 )
 
@@ -217,6 +218,13 @@ def test_row1_prefixes_never_conflict_with_the_border():
                 assert len(set(prefix)) == len(prefix), (n, k, prefix)
                 assert all(0 <= v < n and v not in (1, j)
                            for j, v in enumerate(prefix, 1)), (n, k, prefix)
+
+
+def test_row1_prefixes_match_oracle():
+    # The order of the list decides which tables each slice searches.
+    for n in range(1, 10):
+        for k in (1, 2, 3, 4, 7, 16, 64, 84, 100, 210, 213, 400):
+            assert _row1_prefixes(n, k) == row1_prefixes(n, k), (n, k)
 
 
 def test_search_makes_no_futile_evaluator_calls(monkeypatch):

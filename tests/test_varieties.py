@@ -418,10 +418,10 @@ def test_order16_report_on_doubled_d8():
 
 
 def test_order16_report_decides_the_center_once(holders_runs):
-    # The centers of D16, D8 and Z2^2 take 15 + 3, 7 + 3 and 3 + 9 runs, and
-    # Z16's takes 4 * 15: the nilpotency class reuses the first center and
-    # its quotient.
-    for q, runs in ((dihedral(8), 18 + 10 + 12), (cyclic(16), 60)):
+    # The centers of D16, D8 and Z2^2 take 15 + 2, 7 + 2 and 3 + 6 runs, and
+    # Z16's takes 15 + 2 * 15: the nilpotency class reuses the first center
+    # and its quotient.
+    for q, runs in ((dihedral(8), 17 + 9 + 9), (cyclic(16), 15 + 2 * 15)):
         holders_runs[0] = 0
         order16_report(q)
         assert holders_runs[0] == runs
