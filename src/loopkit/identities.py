@@ -13,17 +13,17 @@ cells as its first occurrence, so one evaluation blocks and judges as
 each copy would.  On first use the program is compiled again, into
 generated Python, for each of two uses.  The full-table checker is a
 nested loop whose outermost loop, over x, reads its own range:
-``check_identity`` runs it with every variable over the whole loop, and
-``holders`` runs it once for each candidate a, with x = a and the other
-variables over a given range, to find the a at which a law holds, such
-as the members of a nucleus.  ``partial_evaluator`` evaluates one
-ground instance on a partial table of a given order and reports the
-first cell that blocks it.  The partial evaluator is what
-makes sound search pruning possible: an instance is only judged when
-every cell it reads is filled.  It reads divisions from a position index
-of the partial table, built by ``positions`` and kept up to date by the
-search as cells change, so a division the table already determines is
-one list lookup.
+``check_identity`` runs it with every variable over the whole loop, or
+with x alone over a given range, and ``holders`` runs it once for each
+candidate a, with x = a and the other variables over a given range, to
+find the a at which a law holds, such as the members of a nucleus.
+``partial_evaluator`` evaluates one ground instance on a partial table
+of a given order and reports the first cell that blocks it.  The
+partial evaluator is what makes sound search pruning possible: an
+instance is only judged when every cell it reads is filled.  It reads
+divisions from a position index of the partial table, built by
+``positions`` and kept up to date by the search as cells change, so a
+division the table already determines is one list lookup.
 
 ``nontrivial_assignments`` gives the ground instances worth propagating
 in a search.  It drops every instance whose two sides become the same
@@ -107,10 +107,13 @@ def compile_identity(source):
     return Program(source, tuple(ops), lhs, rhs, nvars, divides)
 
 
-def check_identity(q, prog):
-    """Whether the identity holds for all assignments; early exit on failure."""
+def check_identity(q, prog, among=None):
+    """Whether the identity holds for all assignments; early exit on failure.
+    With ``among``, x ranges over ``among`` alone; ``prog`` must then use
+    x, which its checker's outermost loop binds."""
     everything = range(q.order)
-    return _checker(prog)(*_tables(q, prog), everything, everything)
+    among = everything if among is None else among
+    return _checker(prog)(*_tables(q, prog), among, everything)
 
 
 def holders(q, prog, among, others):

@@ -220,6 +220,20 @@ def test_holders_match_oracle(q):
             assert holders(q, prog, range(n), others) == expected, prog.source
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_check_identity_over_some_x_matches_oracle(data):
+    # The suite's nuclear square rows run the checker with x over the
+    # elements whose square lies in the nucleus.
+    q = data.draw(loops())
+    n = q.order
+    among = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for prog in HOLDER_PROGRAMS:
+        expected = all(holds_at(q, prog, (a, *rest))
+                       for a in among for rest in product(range(n), repeat=prog.nvars - 1))
+        assert check_identity(q, prog, among) == expected, prog.source
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_compiled_partial_evaluator_matches_oracle(data):

@@ -101,6 +101,17 @@ def test_propagated_search_matches_filtered_naive(name):
     assert engine == naive
 
 
+def test_consequence_propagated_searches_match_filtered_naive_at_order_6():
+    # Each Osborn entry propagates with form 4, whichever form defines it,
+    # and extra with the programs of its two parts.  Pruning must not
+    # change the result set compared to enumerate-then-filter.
+    naive = enumerate_reduced_naive(6)
+    assert len(naive) == 9408
+    for name in ("osborn", *(f"osborn{i}" for i in range(1, 9)), "moufang", "extra"):
+        engine = tables(search(SearchSpec(6, (name,), mode="collect")).found)
+        assert engine == tables(q for q in naive if check_variety(q, name)), name
+
+
 def test_forbidden_constraints_subtract():
     allc = tables(search(SearchSpec(order=5, required=("commutative",), mode="collect")).found)
     nonassoc = tables(
@@ -149,8 +160,11 @@ def test_modes_are_consistent():
 @pytest.mark.parametrize(
     "order, required, forbidden, mode, count, visited",
     [
-        (6, ("osborn",), ("cc", "moufang"), "count", 0, 2595),
-        (5, ("moufang",), (), "collect", 6, 93),
+        # Osborn propagates with form 4 alone, and Moufang with its defining
+        # law alone; with all eight forms and nine Moufang programs these
+        # took 2,595 and 93 nodes.
+        (6, ("osborn",), ("cc", "moufang"), "count", 0, 3105),
+        (5, ("moufang",), (), "collect", 6, 115),
         (6, ("buchsteiner",), (), "count", 120, 3355),
         (6, ("cc",), ("associative",), "count", 40, 2963),
         # Screens whose programs divide most.
@@ -176,8 +190,11 @@ def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited
     [
         # The witness is in the second preseed: 471 + 44 nodes.
         (("cc",), ("associative",), "first", 1, 515, False),
-        (("moufang",), ("associative",), "first", 0, 642, True),
-        (("osborn",), ("cc", "moufang"), "count", 0, 980, True),
+        # With Moufang's defining law and Osborn form 4 as the only
+        # propagators; with nine Moufang programs and all eight Osborn forms
+        # these took 642 and 980 nodes.
+        (("moufang",), ("associative",), "first", 0, 717, True),
+        (("osborn",), ("cc", "moufang"), "count", 0, 1170, True),
         # 1,728 + 1,920 tables in 17,642 + 20,617 nodes.
         ((), (), "count", 3648, 38259, True),
     ],
@@ -229,9 +246,10 @@ def test_row1_prefixes_match_oracle():
 
 def test_search_makes_no_futile_evaluator_calls(monkeypatch):
     # Exact watch lists, no loop-law tautologies and no value trials that
-    # cannot prune: the order-6 proper-Osborn screen needs at most 700,000
-    # evaluator calls (575,856 now; 1,426,664 with stale watch entries,
-    # every instance and every trial).
+    # cannot prune: the order-6 proper-Osborn screen, propagated by Osborn
+    # form 4, needs at most 70,000 evaluator calls (58,949 now; 93,095 with
+    # stale watch entries, 82,639 with the tautologies kept and 86,590
+    # with every value trial).
     search_module = importlib.import_module("loopkit.search")
     real = search_module.partial_evaluator
     calls = [0]
@@ -248,7 +266,7 @@ def test_search_makes_no_futile_evaluator_calls(monkeypatch):
     monkeypatch.setattr(search_module, "partial_evaluator", counting)
     res = search(SearchSpec(6, ("osborn",), ("cc", "moufang"), mode="count"))
     assert res.count == 0
-    assert 0 < calls[0] <= 700_000
+    assert 0 < calls[0] <= 70_000
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from loopkit.core import LoopTable, direct_product, isomorphic, opposite, princi
 from loopkit.errors import LoopError, UnknownVariety
 from loopkit.identities import check_identity
 from loopkit.perms import Perm
+from loopkit.search import SearchSpec, search
 from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import (
     catalog_names,
@@ -27,6 +28,7 @@ from loopkit.varieties import (
     propagation_programs,
     verify_theorems,
 )
+from identity_oracle import check_identity as oracle_check_identity
 from theorem_oracle import (
     companion_of_left_inner,
     companion_of_right_inner,
@@ -82,9 +84,31 @@ def test_unknown_variety_raises(z4):
 
 
 def test_propagation_programs_only_for_equational():
-    progs = propagation_programs("osborn")
-    assert len(progs) == 8
+    # The eight Osborn forms are equivalent, so every Osborn entry
+    # propagates with form 4 alone, whichever form defines it.
+    form4 = ["((x*y)*(x\\((x*z)*x))) = ((x*(y*z))*x)"]
+    for name in ("osborn", *(f"osborn{i}" for i in range(1, 9))):
+        assert [p.source for p in propagation_programs(name)] == form4, name
+    moufang = get_entry("moufang").equations
+    assert propagation_programs("moufang") == moufang
+    assert propagation_programs("extra") == moufang + get_entry("nuclear_squares").equations
     assert propagation_programs("gloop") == ()
+
+
+def test_propagation_programs_hold_on_every_member(classes6):
+    # A search prunes a table that violates a propagator, so each one must
+    # be implied by its entry: it holds on every member of the entry among
+    # the classes of order at most 6.
+    classes = [q for n in range(1, 6)
+               for q in search(SearchSpec(n, mode="collect", isomorphs="up_to_iso")).found]
+    classes += [q for _id, q in classes6]
+    assert len(classes) == 120
+    for name in catalog_names():
+        progs = propagation_programs(name)
+        members = [q for q in classes if progs and check_variety(q, name)]
+        for q in members:
+            for prog in progs:
+                assert oracle_check_identity(q, prog), (name, q.rows, prog.source)
 
 
 def test_groups_hit_expected_flags(z6, s3):
@@ -270,10 +294,11 @@ def test_theorem_suite_evaluates_each_identity_once(z4, z6, s3, d8, q5, cc6, m12
     tables = []  # holds every table, so no id is reused for another
     real = varieties.check_identity
 
-    def counting(q, prog):
+    def counting(q, prog, among=None):
+        # A run with x over a few elements alone is another evaluation.
         tables.append(q)
-        evaluated[id(q), prog.source] += 1
-        return real(q, prog)
+        evaluated[id(q), prog.source, None if among is None else tuple(among)] += 1
+        return real(q, prog, among)
 
     monkeypatch.setattr(varieties, "check_identity", counting)
     for q in (z4, z6, s3, d8, q5, cc6, m12):
