@@ -146,40 +146,36 @@ def cmd_verify(args):
 # construct
 
 
+# The operands each operation takes.
+_CONSTRUCT_OPERANDS = {
+    "mul": "x y", "ldiv": "x y", "rdiv": "x y", "inner": "KIND x y s", "witness": "", "audit": "",
+}
+
+
 def cmd_construct(args):
     params = bk.BKParams(args.p, window_a=args.window_a)
-    op = args.op
-    operands = args.args
+    op, operands = args.op, args.args
+    expected = _CONSTRUCT_OPERANDS[op]
+    if len(operands) != len(expected.split()):
+        print(f"construct {op}: expected {expected or 'no operands'}", file=sys.stderr)
+        return EXIT_USAGE
     if op in ("mul", "ldiv", "rdiv"):
-        if len(operands) != 2:
-            print(f"construct {op}: expected two elements", file=sys.stderr)
-            return EXIT_USAGE
-        u = bk.parse_element(operands[0])
-        v = bk.parse_element(operands[1])
+        u, v = map(bk.parse_element, operands)
         fn = {"mul": bk.bk_mul, "ldiv": bk.bk_ldiv, "rdiv": bk.bk_rdiv}[op]
         print(bk.format_element(fn(params, u, v)))
         return EXIT_OK
     if op == "inner":
-        if len(operands) != 4 or operands[0] not in ("LL", "RR", "TR"):
-            print("construct inner: expected KIND x y s with KIND one of LL RR TR",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        kind = operands[0]
-        x, y, s = (bk.parse_element(t) for t in operands[1:])
+        # An unknown KIND raises standard_inner's ValueError, exit code 1.
+        kind, *elements = operands
+        x, y, s = map(bk.parse_element, elements)
         print(bk.format_element(bk.standard_inner(params, kind, x, y, s)))
         return EXIT_OK
     if op == "witness":
-        if operands:
-            print("construct witness: takes no arguments", file=sys.stderr)
-            return EXIT_USAGE
         x, y, s0, pre = bk.nonnormal_witness(params)
         print(f"x={bk.format_element(x)} y={bk.format_element(y)} "
               f"s0={bk.format_element(s0)} preimage={bk.format_element(pre)}")
         return EXIT_OK
     # The parser's choices leave "audit" as the only other operation.
-    if operands:
-        print("construct audit: takes no arguments", file=sys.stderr)
-        return EXIT_USAGE
     report = bk.window_audit(params)
     print(report.format())
     print(f"{len(report.violations)} violations")
@@ -285,7 +281,7 @@ def build_parser():
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--window-a", type=int, default=0,
                    help="first-coordinate window bound, 0 means p cubed")
-    k.add_argument("op", choices=("mul", "ldiv", "rdiv", "inner", "witness", "audit"))
+    k.add_argument("op", choices=tuple(_CONSTRUCT_OPERANDS))
     k.add_argument("args", nargs="*")
     k.set_defaults(fn=cmd_construct)
 

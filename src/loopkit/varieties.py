@@ -187,7 +187,7 @@ def get_entry(name):
 
 def check_variety(q, name):
     """Whether q is in the catalog entry ``name``.  To decide several
-    entries of one loop, share one ``Context``: it decides each once."""
+    entries of one loop, share one ``Context``: it decides each identity once."""
     return Context(q).flag(name)
 
 
@@ -237,19 +237,18 @@ def is_g_loop(q):
 # theorem suite
 
 
-_A2_EXTRA = _eq(
-    "((x*x)*(y*z)) = ((x*(x*y))*z)",
-    "(((x*x)*y)*z) = (x*(x*(y*z)))",
-    "(y*(x*(x*z))) = ((y*(x*x))*z)",
-)
-
-# (R(x)^-2, L(x)^2, 1) as an autotopism, read at every y and z.
-_C_AUTOTOPISM = compile_identity("(((y/x)/x)*(x*(x*z))) = (y*z)")
-
-# Suite rows that equate translation products for all x and y, each as the
-# identities the equalities give at every z (and u).  Maps compose right to
-# left; x^l = e/x and x^r = x\e.
-_TRANSLATION_EQS = {
+# The identities that rows of the suite and the order-16 report check,
+# keyed by check id.  Maps compose right to left; x^l = e/x and x^r = x\e.
+_IDENTITIES = {
+    "lc_tenway_agreement": _eq(
+        "((x*x)*(y*z)) = ((x*(x*y))*z)",
+        "(((x*x)*y)*z) = (x*(x*(y*z)))",
+        "(y*(x*(x*z))) = ((y*(x*x))*z)",
+    ),
+    # (R(x)^-2, L(x)^2, 1) as an autotopism, read at every y and z.
+    "c_fiveway_agreement": _eq("(((y/x)/x)*(x*(x*z))) = (y*z)"),
+    # Rows that equate translation products for all x and y, each as the
+    # identities the equalities give at every z (and u).
     "osborn_commutator_translation_forms": _eq(
         # [L(y), R(x)] = (L(x^l y)^-1 L(x^l) L(y))^-1
         "(y\\((y*(z*x))/x)) = (y\\((e/x)\\(((e/x)*y)*z)))",
@@ -291,42 +290,58 @@ _TRANSLATION_EQS = {
         # R(x) R(x) L(x^2)^-1 L(x) L(x) = R(x^2)
         "((((x*x)\\(x*(x*y)))*x)*x) = (y*(x*x))",
     ),
-}
-
-# Suite rows that equate translations for each x whose square lies in the
-# nucleus, each as the identity the equality gives at every y.
-_NUCLEAR_SQUARE_EQS = {
+    # Rows that equate translations for each x whose square lies in the
+    # nucleus, each as the identity the equality gives at every y.
     # L(x^2) = L(x) L(x^l)^-1
-    "nuclear_square_left_translation": compile_identity("((x*x)*y) = (x*((e/x)\\y))"),
+    "nuclear_square_left_translation": _eq("((x*x)*y) = (x*((e/x)\\y))"),
     # L(x^2) = L(x) R(x)^-1 L(x) R(x)
-    "osborn_nuclear_square_translation": compile_identity("((x*x)*y) = (x*((x*(y*x))/x))"),
+    "osborn_nuclear_square_translation": _eq("((x*x)*y) = (x*((x*(y*x))/x))"),
+    # L(x)^4 = 1 and R(x)^4 = 1, read at every y.
+    "fourth_power_translations": _eq("(x*(x*(x*(x*y)))) = y", "((((y*x)*x)*x)*x) = y"),
 }
 
 
 class Context:
-    """One loop's cached flags, nuclei, center, their quotients and nilpotency class,
-    for the suite, ``loopkit check``, the order-16 report and search leaves."""
+    """One loop's identity verdicts, nuclei, center, their quotients and
+    nilpotency class, for the suite, ``loopkit check``, the order-16 report
+    and search leaves.  ``holds`` is the one place that runs the checker."""
 
     def __init__(self, q):
         self.q = q
-        self._flags = {}
+        self._verdicts = {}
         self._groups = {}
         self._normal = {}
 
+    def holds(self, progs, among=None):
+        """Whether each identity in ``progs`` holds with x over ``among`` and
+        its other variables over the loop.  Each is decided once per set of
+        x; None, like any set that covers the loop, is the whole loop."""
+        if among is not None:
+            among = frozenset(among)
+            if len(among) == self.q.order:
+                among = None
+        for prog in progs:
+            key = prog.source, among
+            if key not in self._verdicts:
+                self._verdicts[key] = check_identity(self.q, prog, among)
+            if not self._verdicts[key]:
+                return False
+        return True
+
     def flag(self, name):
-        """Whether q is in the catalog entry ``name``.  A conjunction holds
-        when each of its parts does, and each part is looked up here, so
-        the context decides every entry at most once."""
-        if name not in self._flags:
-            entry = get_entry(name)
-            if entry.predicate is not None:
-                holds = entry.predicate(self.q)
-            elif entry.parts:
-                holds = all(self.flag(part) for part in entry.parts)
-            else:
-                holds = all(check_identity(self.q, prog) for prog in entry.equations)
-            self._flags[name] = holds
-        return self._flags[name]
+        """Whether q is in the catalog entry ``name``: its equations hold,
+        its parts do, or its predicate does.  Only equations are cached, in
+        ``holds``; no caller asks the G-loop predicate twice of one context."""
+        entry = get_entry(name)
+        if entry.predicate is not None:
+            return entry.predicate(self.q)
+        if entry.parts:
+            return all(map(self.flag, entry.parts))
+        return self.holds(entry.equations)
+
+    def squares_in(self, subloop):
+        """The x, in order, whose square lies in ``subloop``."""
+        return [x for x, row in enumerate(self.q.rows) if row[x] in subloop]
 
     def group(self, build):
         """The group ``build(q)`` for a function ``build`` of ``perms``."""
@@ -398,37 +413,29 @@ class Context:
         return None if below is None else below + 1
 
 
-def _sq_in(ctx, which):
-    q = ctx.q
-    nucs = {"left": 0, "middle": 1, "right": 2}
-    target = ctx.nuclei[nucs[which]] if which in nucs else ctx.nucleus
-    return all(q.mul(x, x) in target for x in range(q.order))
-
-
 def _check_a2_tenway(ctx):
     # Three more of the ten conditions say that (L(x)^2, 1, L(x)^2) is an
     # autotopism and that L(x)L(x)L(y) and L(y)L(x)L(x) are left
-    # translations.  Read at every z (and u), the first is lc with its sides
-    # swapped and the other two are, term for term, lc and _A2_EXTRA[2], so
-    # each of those identities is evaluated once.
-    q = ctx.q
-    conds = [ctx.flag("lc")]
-    conds.extend(check_identity(q, prog) for prog in _A2_EXTRA)
-    conds.append(ctx.flag("lap") and _sq_in(ctx, "left"))
-    conds.append(ctx.flag("lap") and _sq_in(ctx, "middle"))
-    conds.append(ctx.flag("lip") and _sq_in(ctx, "left"))
+    # translations.  Read at every z (and u), they are lc with its sides
+    # swapped, lc, and the third identity _IDENTITIES lists for this row.
+    n, (left, middle, _right) = ctx.q.order, ctx.nuclei
+    conds = [ctx.flag("lc"), *(ctx.holds((p,)) for p in _IDENTITIES["lc_tenway_agreement"])]
+    conds.append(ctx.flag("lap") and len(ctx.squares_in(left)) == n)
+    conds.append(ctx.flag("lap") and len(ctx.squares_in(middle)) == n)
+    conds.append(ctx.flag("lip") and len(ctx.squares_in(left)) == n)
     return len(set(conds)) == 1
 
 
 def _check_a3_fiveway(ctx):
     # The last condition, that (R(x)^-2, L(x)^2, 1) is an autotopism, is
-    # read at every y and z as _C_AUTOTOPISM.
+    # read at every y and z as the identity _IDENTITIES lists for this row.
+    n = ctx.q.order
     return len({
         ctx.flag("c"),
         ctx.flag("lc") and ctx.flag("rc"),
-        ctx.flag("ip") and _sq_in(ctx, "nucleus"),
-        ctx.flag("ap") and _sq_in(ctx, "middle"),
-        check_identity(ctx.q, _C_AUTOTOPISM),
+        ctx.flag("ip") and len(ctx.squares_in(ctx.nucleus)) == n,
+        ctx.flag("ap") and len(ctx.squares_in(ctx.nuclei[1])) == n,
+        ctx.holds(_IDENTITIES["c_fiveway_agreement"]),
     }) == 1
 
 
@@ -476,23 +483,11 @@ def _two_of_three(check_id, *conds):
             lambda ctx: all(cond(ctx) for cond in conds))
 
 
-def _translation(check_id, applies):
-    """The row: every identity ``_TRANSLATION_EQS`` lists for it holds."""
-    progs = _TRANSLATION_EQS[check_id]
-    return check_id, applies, lambda ctx: all(check_identity(ctx.q, p) for p in progs)
-
-
-def _nuclear_square(check_id, applies):
-    """The row: the identity ``_NUCLEAR_SQUARE_EQS`` gives for it holds at
-    every x whose square lies in the nucleus, for every y."""
-    prog = _NUCLEAR_SQUARE_EQS[check_id]
-
-    def verdict(ctx):
-        q = ctx.q
-        squares_in = [x for x, row in enumerate(q.rows) if row[x] in ctx.nucleus]
-        return check_identity(q, prog, squares_in)
-
-    return check_id, applies, verdict
+def _holds(check_id, applies, among=lambda ctx: None):
+    """The row: every identity ``_IDENTITIES`` lists for it holds with x
+    over ``among(ctx)``, by default the whole loop."""
+    progs = _IDENTITIES[check_id]
+    return check_id, applies, lambda ctx: ctx.holds(progs, among(ctx))
 
 
 _SUITE = (
@@ -500,7 +495,7 @@ _SUITE = (
     ("c_fiveway_agreement", _flags(), _check_a3_fiveway),
     _two_of_three("lcc_lc_lbol_two_of_three", _flags("lcc"), _flags("lc"), _flags("lbol")),
     ("lbol_lc_iff_left_nuclear_squares", _flags("lbol"),
-     _agree(_flags("lc"), lambda ctx: _sq_in(ctx, "left"))),
+     _agree(_flags("lc"), lambda ctx: len(ctx.squares_in(ctx.nuclei[0])) == ctx.q.order)),
     ("extra_loop_equivalences", _flags(), _agree(
         _flags("extra"),
         lambda ctx: ctx.flag("lc") and (
@@ -541,13 +536,13 @@ _SUITE = (
     ("osborn_mlt_one_sided_normal", _flags("osborn"),
      lambda ctx: ctx.normal_in_mlt("left") and ctx.normal_in_mlt("right")),
     ("osborn_inner_groups_coincide", _flags("osborn"), _check_inner_equal),
-    _translation("osborn_commutator_translation_forms", _flags("osborn")),
+    _holds("osborn_commutator_translation_forms", _flags("osborn")),
     ("osborn_nuclei_coincide_and_normal", _flags("osborn"),
      lambda ctx: ctx.nuclei[0] == ctx.nuclei[1] == ctx.nuclei[2]
      and structure.is_normal_subloop(ctx.q, ctx.nucleus)),
-    _translation("osborn_inner_pseudo_companions", _flags("osborn")),
-    _translation("osborn_inverse_translation_automorphisms", _flags("osborn")),
-    _translation("osborn_alpha_forms", _flags("osborn")),
+    _holds("osborn_inner_pseudo_companions", _flags("osborn")),
+    _holds("osborn_inverse_translation_automorphisms", _flags("osborn")),
+    _holds("osborn_alpha_forms", _flags("osborn")),
     ("osborn_cip_implies_commutative_moufang", _flags("osborn", "cip"),
      _flags("commutative", "moufang")),
     ("osborn_a_loop_factor_commutative_moufang",
@@ -563,10 +558,12 @@ _SUITE = (
                   _flags("osborn"), _flags("buchsteiner"), _flags("jaiyeola")),
     _two_of_three("gen_moufang_wipcc_nuclear_squares_two_of_three",
                   _flags("gen_moufang"), _flags("wip", "cc"), _flags("nuclear_squares")),
-    _translation("buchsteiner_square_translations", _flags("buchsteiner")),
-    _translation("buchsteiner_right_square_translation", _flags("buchsteiner")),
-    _nuclear_square("nuclear_square_left_translation", _flags()),
-    _nuclear_square("osborn_nuclear_square_translation", _flags("osborn")),
+    _holds("buchsteiner_square_translations", _flags("buchsteiner")),
+    _holds("buchsteiner_right_square_translation", _flags("buchsteiner")),
+    _holds("nuclear_square_left_translation", _flags(),
+           lambda ctx: ctx.squares_in(ctx.nucleus)),
+    _holds("osborn_nuclear_square_translation", _flags("osborn"),
+           lambda ctx: ctx.squares_in(ctx.nucleus)),
     ("square_law_autotopism_agreement", _flags(), _check_square_autotopism),
     ("nucleus_autotopism_route_agreement", _flags(), _check_nuclear_autotopism_agreement),
 )
@@ -607,10 +604,6 @@ def is_proper_osborn(q):
     return ctx.flag("osborn") and not ctx.flag("moufang") and not ctx.flag("cc")
 
 
-# L(x)^4 = 1 and R(x)^4 = 1, read at every y.
-_FOURTH_POWERS = _eq("(x*(x*(x*(x*y)))) = y", "((((y*x)*x)*x)*x) = y")
-
-
 def order16_report(q, loop_id="loop"):
     """Structure checks for a proper Osborn loop of order 16.
 
@@ -641,6 +634,6 @@ def order16_report(q, loop_id="loop"):
         rows.append((check_id, ("PASS" if verdict(qt) else "FAIL") if eight else "N/A"))
     rows.append(("nilpotency_class_three",
                  "PASS" if ctx.nilpotency_class == 3 else "FAIL"))
-    fourth = all(check_identity(q, prog) for prog in _FOURTH_POWERS)
+    fourth = ctx.holds(_IDENTITIES["fourth_power_translations"])
     rows.append(("fourth_power_translations", "yes" if fourth else "no"))
     return TheoremReport(loop_id, rows)

@@ -86,26 +86,22 @@ def test_check_nucleus_not_normal(classes6, tmp_path, capsys):
 
 
 def test_check_decides_the_catalog_in_one_context(m12, tmp_path, capsys, monkeypatch):
-    # The catalog flags share one context, so a conjunction reads its
-    # parts' flags.  The one repeat left is the equation that the separate
-    # entries osborn and osborn1 both list.
+    # The catalog flags share one context, which decides each identity
+    # once: a conjunction reads its parts' verdicts, and the separate
+    # entries osborn and osborn1 share the equation both list.
     evaluated = Counter()
     tables = []  # holds every table, so no id is reused for another
     real = varieties.check_identity
 
-    def counting(q, prog):
+    def counting(q, prog, among=None):
         tables.append(q)
-        evaluated[id(q), prog.source] += 1
-        return real(q, prog)
+        evaluated[id(q), prog.source, None if among is None else frozenset(among)] += 1
+        return real(q, prog, among)
 
     monkeypatch.setattr(varieties, "check_identity", counting)
     _check_output(m12, tmp_path, capsys)
-    assert sum(evaluated.values()) == 35
-    repeated = [source for (_id, source), times in evaluated.items() if times > 1]
-    osborn = [prog.source for prog in varieties.get_entry("osborn").equations]
-    assert osborn == [prog.source for prog in varieties.get_entry("osborn1").equations]
-    assert repeated == osborn
-    assert max(evaluated.values()) == 2
+    assert sum(evaluated.values()) == 34
+    assert max(evaluated.values()) == 1
 
 
 def test_check_decides_each_structure_once(m12, tmp_path, capsys, holders_runs):
@@ -318,6 +314,18 @@ def test_construct_bad_element(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["construct", "--p", "2", "bogus"])
     assert exc.value.code == 1
+
+
+def test_construct_wrong_operand_count(capsys):
+    # Any operand count but an operation's own is a usage error, and so is
+    # an unknown kind of inner mapping.
+    for op, count in (("mul", 2), ("ldiv", 2), ("rdiv", 2), ("inner", 4),
+                      ("witness", 0), ("audit", 0)):
+        for k in set(range(6)) - {count}:
+            assert cli.main(["construct", "--p", "2", op, *["(1,0)"] * k]) == 1, (op, k)
+            assert f"construct {op}: expected" in capsys.readouterr().err
+    assert cli.main(["construct", "--p", "2", "inner", "XX", "(1,0)", "(1,0)", "(0,1)"]) == 1
+    assert "unknown standard inner kind 'XX'" in capsys.readouterr().err
 
 
 def test_isotopes_of_group(z4_file, capsys):

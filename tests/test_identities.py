@@ -204,7 +204,8 @@ def test_compiled_checker_matches_oracle(q):
 # The laws that decide the nuclei and the center, and the identities of
 # the suite's two nuclear square rows, each with the tested element as x.
 HOLDER_PROGRAMS = (structure._LEFT, structure._MIDDLE, structure._RIGHT, structure._COMMUTE,
-                   *varieties._NUCLEAR_SQUARE_EQS.values())
+                   *varieties._IDENTITIES["nuclear_square_left_translation"],
+                   *varieties._IDENTITIES["osborn_nuclear_square_translation"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,15 +310,14 @@ def test_loop_laws_drop_tautologies():
     assert nontrivial_assignments(LIP, 3) == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-# Every catalog program and every program the theorem suite checks.
+# Every catalog program and every program the theorem suite and the
+# order-16 report check.
 SUITE_PROGRAMS = tuple(
     {
         prog.source: prog
         for prog in (
             *(p for entry in CATALOG.values() for p in entry.equations + entry.prop_equations),
-            *(p for progs in varieties._TRANSLATION_EQS.values() for p in progs),
-            *varieties._A2_EXTRA,
-            varieties._C_AUTOTOPISM,
+            *(p for progs in varieties._IDENTITIES.values() for p in progs),
         )
     }.values()
 )

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from loopkit.varieties import (
     verify_theorems,
 )
 from identity_oracle import check_identity as oracle_check_identity
+from identity_oracle import holds_at
 from theorem_oracle import (
     companion_of_left_inner,
     companion_of_right_inner,
@@ -295,9 +297,11 @@ def test_theorem_suite_evaluates_each_identity_once(z4, z6, s3, d8, q5, cc6, m12
     real = varieties.check_identity
 
     def counting(q, prog, among=None):
-        # A run with x over a few elements alone is another evaluation.
+        # A run with x over a set of elements that is not the whole loop is
+        # another evaluation; one over every element is a whole-loop run.
         tables.append(q)
-        evaluated[id(q), prog.source, None if among is None else tuple(among)] += 1
+        xs = None if among is None or set(among) == set(range(q.order)) else frozenset(among)
+        evaluated[id(q), prog.source, xs] += 1
         return real(q, prog, among)
 
     monkeypatch.setattr(varieties, "check_identity", counting)
@@ -305,6 +309,44 @@ def test_theorem_suite_evaluates_each_identity_once(z4, z6, s3, d8, q5, cc6, m12
         verify_theorems(q)
     assert evaluated
     assert [key for key, times in evaluated.items() if times > 1] == []
+
+
+# Laws whose verdict on a random loop often turns on which x they range over.
+_HOLDS_PROGRAMS = (*get_entry("lip").equations, *get_entry("moufang").equations,
+                   *varieties._IDENTITIES["buchsteiner_square_translations"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_context_holds_matches_oracle_and_decides_once(data):
+    q = data.draw(loops())
+    n = q.order
+    # x ranges over a list with a repeat (n entries or more, so not the
+    # whole loop unless its set is), over a permutation of the loop, or
+    # over nothing.
+    with_repeat = st.lists(st.integers(0, n - 1), min_size=max(n - 1, 1), max_size=n).flatmap(
+        lambda xs: st.sampled_from(xs).map(lambda x: [*xs, x]))
+    among = data.draw(st.one_of(with_repeat, st.permutations(range(n)), st.just([])))
+    calls = []
+    real = varieties.check_identity
+
+    def counting(q, prog, among=None):
+        calls.append(prog.source)
+        return real(q, prog, among)
+
+    ctx = varieties.Context(q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(varieties, "check_identity", counting)
+        for prog in _HOLDS_PROGRAMS:
+            expected = all(holds_at(q, prog, (a, *rest))
+                           for a in among for rest in product(range(n), repeat=prog.nvars - 1))
+            assert ctx.holds((prog,), among) == expected, (prog.source, among)
+        assert len(calls) == len(_HOLDS_PROGRAMS)
+        assert ctx.holds(_HOLDS_PROGRAMS, among) == all(
+            ctx.holds((prog,), among) for prog in _HOLDS_PROGRAMS)
+        if set(among) == set(range(n)):
+            ctx.holds(_HOLDS_PROGRAMS)
+        assert len(calls) == len(_HOLDS_PROGRAMS)
 
 
 _VERDICTS = {check_id: verdict for check_id, _applies, verdict in varieties._SUITE}
@@ -319,8 +361,8 @@ def _translation_verdicts(q):
     lc = check_variety(q, "lc")
     return (
         {check_id: _VERDICTS[check_id](ctx) for check_id in theorem_oracle.ROUTES},
-        (lc, lc, check_identity(q, varieties._A2_EXTRA[2])),
-        check_identity(q, varieties._C_AUTOTOPISM),
+        (lc, lc, check_identity(q, varieties._IDENTITIES["lc_tenway_agreement"][2])),
+        check_identity(q, varieties._IDENTITIES["c_fiveway_agreement"][0]),
     )
 
 
