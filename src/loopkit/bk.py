@@ -89,7 +89,8 @@ def bk_mul(params, u, v):
     b, vx = v
     if (a + b) % p == 0 and a % p != 0:
         index = ((a + b - p) // p) % p
-        return _element(BKElement, (oplus(p, a, b), p * (ux + vx) + index))
+        p2 = p * p
+        return _element(BKElement, (p * (a // p2 + b // p2), p * (ux + vx) + index))
     return _element(BKElement, (a + b, ux + vx))
 
 

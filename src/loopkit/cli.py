@@ -230,13 +230,11 @@ def cmd_quotient(args):
             return EXIT_USAGE
         s = structure.SubloopSet.from_members(q.order, ids)
     table, coset_of = structure.quotient(q, s)
-    text = dumps(table)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        dump_path(table, args.out)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(table))
     print(f"cosets: {' '.join(str(c) for c in coset_of)}", file=sys.stderr)
     return EXIT_OK
 

@@ -194,10 +194,10 @@ class PermGroup:
 
 
 def closure(generators):
-    """The group generated by ``generators``, which fix its degree.  Every
-    group of this module comes from here.  Its ``generators`` are the
-    inputs kept by ``_chain``: a subsequence of ``generators`` that
-    generates the same group, empty only when every input is the identity.
+    """The group generated by ``generators``, which fix its degree.  Its
+    ``generators`` are the inputs kept by ``_chain``: a subsequence of
+    ``generators`` that generates the same group, empty only when every
+    input is the identity.
     """
     gens = list(generators)
     if not gens:
@@ -222,30 +222,26 @@ def mlt_right(q):
     return closure([q.R(x) for x in range(q.order)])
 
 
-def inn(q):
-    """Inner mapping group: the stabilizer of 0 in Mlt, level 1 of its chain.
+def stabilizer_of_0(group):
+    """The stabilizer of 0 in ``group``, whose chain has 0 as its first
+    base point: level 1 of the chain on.  No chain is built.
 
-    0 is the chain's first base point: L(0) is the identity, so the first
-    generator added is L(1), and L(1) moves 0.
+    For Mlt, Mlt_left and Mlt_right this is the inner mapping group and
+    the left and right inner mapping groups (Bruck, 1946): by Schreier's
+    lemma over the transversal {L(a)}, the stabilizer of 0 in Mlt_left is
+    generated by the maps L(x*y)^-1 L(x) L(y), and mirrored for Mlt_right.
+    0 is the first base point of each: L(0) and R(0) are the identity, so
+    the first generator added is L(1) or R(1), and each moves 0.
     """
-    chain = mlt(q).chain[1:]
-    return PermGroup(q.order, chain[0][1] if chain else (), chain)
+    if group.chain and group.chain[0][0] != 0:
+        raise ValueError("the chain's first base point is not 0")
+    chain = group.chain[1:]
+    return PermGroup(group.degree, chain[0][1] if chain else (), chain)
 
 
-def inn_left(q):
-    """Closure of the maps L(x*y)^-1 L(x) L(y), read off the table as
-    z -> (x*y) \\ (x*(y*z))."""
-    rows, ldiv = q.rows, q.divisions()[0]
-    return closure(Perm(ldiv[lx[y]][lx[v]] for v in rows[y])
-                   for lx in rows for y in range(q.order))
-
-
-def inn_right(q):
-    """Closure of the maps R(y*x)^-1 R(x) R(y), read off the table as
-    z -> ((z*y)*x) / (y*x)."""
-    rows, rdiv = q.rows, q.divisions()[1]
-    return closure(Perm(rdiv[rows[lz[y]][x]][rows[y][x]] for lz in rows)
-                   for x in range(q.order) for y in range(q.order))
+def inn(q):
+    """Inner mapping group: the stabilizer of 0 in Mlt."""
+    return stabilizer_of_0(mlt(q))
 
 
 def commutator_LR(q, y, x):

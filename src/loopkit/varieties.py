@@ -309,7 +309,6 @@ class Context:
     def __init__(self, q):
         self.q = q
         self._verdicts = {}
-        self._groups = {}
         self._normal = {}
 
     def holds(self, progs, among=None):
@@ -343,11 +342,10 @@ class Context:
         """The x, in order, whose square lies in ``subloop``."""
         return [x for x, row in enumerate(self.q.rows) if row[x] in subloop]
 
-    def group(self, build):
-        """The group ``build(q)`` for a function ``build`` of ``perms``."""
-        if build not in self._groups:
-            self._groups[build] = build(self.q)
-        return self._groups[build]
+    @cached_property
+    def mlt_sides(self):
+        """(Mlt_left, Mlt_right), the two one-sided multiplication groups."""
+        return perms.mlt_left(self.q), perms.mlt_right(self.q)
 
     def normal_in_mlt(self, side):
         """Whether Mlt_left (``side`` "left") or Mlt_right ("right") is
@@ -362,7 +360,7 @@ class Context:
         built.
         """
         if side not in self._normal:
-            left, right = self.group(perms.mlt_left), self.group(perms.mlt_right)
+            left, right = self.mlt_sides
             h, other = (left, right) if side == "left" else (right, left)
             conjugators = [(g.inverse(), g) for g in other.generators]
             self._normal[side] = all(
@@ -440,11 +438,14 @@ def _check_a3_fiveway(ctx):
 
 
 def _check_inner_equal(ctx):
+    # The left and right inner mapping groups are the stabilizers of 0 in
+    # Mlt_left and Mlt_right; both must equal the closure of the
+    # commutators [L(y), R(x)].
     q = ctx.q
     n = q.order
-    il = ctx.group(perms.inn_left)
+    il, ir = map(perms.stabilizer_of_0, ctx.mlt_sides)
     comms = (perms.commutator_LR(q, y, x) for x in range(n) for y in range(n))
-    return il == ctx.group(perms.inn_right) and perms.closure(comms) == il
+    return il == ir and perms.closure(comms) == il
 
 
 def _check_square_autotopism(ctx):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from loopkit import structure
+from loopkit import perms, structure
 from loopkit.core import LoopTable
 from loopkit.search import SearchSpec, search
 from loopkit.tables import chein_double, cyclic, dihedral
@@ -88,3 +88,18 @@ def holders_runs(monkeypatch):
 
     monkeypatch.setattr(structure, "holders", counting)
     return runs
+
+
+@pytest.fixture()
+def chain_builds(monkeypatch):
+    """A one-item list that counts the stabilizer chains ``perms._chain``
+    builds."""
+    builds = [0]
+    real = perms._chain
+
+    def counting(generators):
+        builds[0] += 1
+        return real(generators)
+
+    monkeypatch.setattr(perms, "_chain", counting)
+    return builds

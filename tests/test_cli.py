@@ -351,3 +351,6 @@ def test_quotient_writes_file(s3_file, tmp_path, capsys):
     out_path = tmp_path / "quot.loop"
     assert cli.main(["quotient", s3_file, "--by", "center", "--out", str(out_path)]) == 0
     assert loads(out_path.read_text()).order == 6
+    assert capsys.readouterr().out == f"wrote {out_path}\n"
+    assert cli.main(["quotient", s3_file, "--by", "center"]) == 0
+    assert out_path.read_text(encoding="utf-8") == capsys.readouterr().out

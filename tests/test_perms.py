@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopkit import perms
-from loopkit.core import LoopTable
+from loopkit.core import LoopTable, direct_product
 from loopkit.errors import DegreeMismatch
 from loopkit.perms import Perm, closure, commutator_LR
-from loopkit.tables import cyclic, dihedral
+from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import verify_theorems
 from loop_strategies import loops
 from nuclei_oracle import fixed_points
@@ -61,6 +61,14 @@ def test_closure_of_no_generators_is_refused():
         closure([Perm([1, 0]), Perm([0, 2, 1])])
 
 
+def inn_left(q):
+    return perms.stabilizer_of_0(perms.mlt_left(q))
+
+
+def inn_right(q):
+    return perms.stabilizer_of_0(perms.mlt_right(q))
+
+
 def _oracle_groups(q):
     """Each group of ``perms`` as the breadth-first closure of its
     generators; Inn is the stabilizer of 0 in that closure of Mlt."""
@@ -74,8 +82,8 @@ def _oracle_groups(q):
         perms.mlt_left: closure_elements(ls),
         perms.mlt_right: closure_elements(rs),
         perms.inn: frozenset(p for p in full if p(0) == 0),
-        perms.inn_left: closure_elements(p for (kind, _x, _y), p in std if kind == "LL"),
-        perms.inn_right: closure_elements(p for (kind, _x, _y), p in std if kind == "RR"),
+        inn_left: closure_elements(p for (kind, _x, _y), p in std if kind == "LL"),
+        inn_right: closure_elements(p for (kind, _x, _y), p in std if kind == "RR"),
     }
 
 
@@ -141,6 +149,24 @@ def test_order10_groups_need_no_listing():
     assert len(perms.mlt(q)) == factorial(10)
     assert len(perms.inn(q)) == factorial(9)
     assert verify_theorems(q).failures() == []
+
+
+def test_one_sided_inner_groups_match_standard_generators_at_larger_orders(m12):
+    # Inn_left and Inn_right, read off the one-sided chains, against the
+    # closure of the n^2 maps L(x*y)^-1 L(x) L(y) and R(y*x)^-1 R(x) R(y).
+    z2 = cyclic(2)
+    z2sq = direct_product(z2, z2)
+    for q in (m12, chein_double(dihedral(4)), dihedral(8), direct_product(z2sq, z2sq)):
+        std = standard_generators(q)
+        for build, kind in ((inn_left, "LL"), (inn_right, "RR")):
+            expected = closure(p for (k, _x, _y), p in std if k == kind)
+            assert build(q) == expected, (q.order, kind)
+
+
+def test_stabilizer_of_0_needs_0_as_first_base_point():
+    assert len(perms.stabilizer_of_0(closure([Perm([1, 2, 0])]))) == 1
+    with pytest.raises(ValueError):
+        perms.stabilizer_of_0(closure([Perm([0, 2, 1])]))
 
 
 def test_mlt_of_cyclic_group_is_regular():

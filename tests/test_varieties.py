@@ -436,6 +436,20 @@ def test_mlt_normality_sifts_only_kept_generators(cc6, m12, monkeypatch):
             assert sifts[0] == expected, side
 
 
+def test_theorem_suite_builds_the_one_sided_chains_once(m12, cc6, z6, classes6, chain_builds):
+    # Mlt_left and Mlt_right for the normality rows, and on an Osborn loop
+    # the closure of the commutators [L(y), R(x)]: Inn_left and Inn_right
+    # are read off the first two.
+    for q in (m12, cc6, z6):
+        chain_builds[0] = 0
+        verify_theorems(q)
+        assert chain_builds[0] == 3
+    q = next(q for _id, q in classes6 if not varieties.Context(q).flag("osborn"))
+    chain_builds[0] = 0
+    verify_theorems(q)
+    assert chain_builds[0] == 2
+
+
 def test_theorem_suite_marks_inapplicable_rows(q5):
     report = verify_theorems(q5, loop_id="q5")
     statuses = {check_id: status for check_id, status in report.rows}
