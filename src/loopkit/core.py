@@ -22,13 +22,19 @@ element: in a finite loop a set closed under multiplication is a subloop,
 because each translation is injective on it and therefore onto.
 ``canonical_table`` is the least relabeled table over the walks whose
 generator at each step is an unlabeled element of least translation
-fingerprint.  An isomorphism preserves fingerprints, so it carries these
-walks of one loop onto those of the other, and the table is an invariant
-that is itself a copy of the loop: a complete invariant.  ``isomorphic``
-searches the walks of one loop for the table of the other's.
+fingerprint, the cycle types of its left and right translations; cycle
+types are memoized by image tuple, at most 8,192 of them, which holds
+every permutation of order 7 or less.  An isomorphism preserves
+fingerprints, so it carries these walks of one loop onto those of the
+other, and the table is an invariant that is itself a copy of the loop: a
+complete invariant.  ``isomorphic`` searches the walks of one loop for
+the table of the other's.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import chain
 
 from .errors import (
     BadDimensions,
@@ -163,21 +169,23 @@ def direct_product(q1, q2, max_order=None):
 def principal_isotope(q, a, b):
     """The isotope x.y = rdiv(x, b) * ldiv(a, y), relabeled so 0 is its identity.
 
-    The identity of the raw isotope is a*b; the relabeling swaps 0 with a*b
-    and leaves every other id in place.
+    The identity of the raw isotope is a*b; the relabeling sigma swaps 0
+    with a*b and leaves every other id in place.  sigma is an involution,
+    so row sigma(x) of the result is built whole, its column c reading the
+    raw product at y = sigma(c).
     """
     n = q.order
     e = q.mul(a, b)
     sigma = list(range(n))
     sigma[0], sigma[e] = e, 0
-    rows = [[0] * n for _ in range(n)]
     ld, rd = q.divisions()
     lda = ld[a]
-    for x in range(n):
-        xb_row = q.rows[rd[x][b]]
-        for y in range(n):
-            rows[sigma[x]][sigma[y]] = sigma[xb_row[lda[y]]]
-    return LoopTable(tuple(tuple(r) for r in rows), check=False)
+    cols = [lda[s] for s in sigma]
+    rows = q.rows
+    xb_rows = [rows[rd[s][b]] for s in sigma]
+    return LoopTable(
+        tuple(tuple([sigma[xb_row[y]] for y in cols]) for xb_row in xb_rows), check=False
+    )
 
 
 def _translation_fingerprints(q):
@@ -189,9 +197,16 @@ def _translation_fingerprints(q):
     return [(_cycle_type(row), _cycle_type(col)) for row, col in zip(rows, zip(*rows))]
 
 
+@lru_cache(maxsize=8192)
 def _cycle_type(images):
     """Sorted cycle lengths; each cycle is counted from its least element,
-    the one whose walk returns to it before reaching a smaller element."""
+    the one whose walk returns to it before reaching a smaller element.
+
+    Memoized on the image tuple, since the many tables keyed in one run
+    share most of their translations.  The memo keeps at most 8,192
+    entries: room for every permutation of order 7 or less (1! + ... + 7!
+    = 5,913), and a few MB at most even at order 64.
+    """
     lens = []
     for s, t in enumerate(images):
         k = 1
@@ -214,13 +229,15 @@ def _walks(q, pick):
 
     For each newly labeled element k in turn, the closure gives the next
     label to each unlabeled product of k with an earlier label j <= k,
-    both ways round.  ``pick(step, outside)`` chooses the generators to try
-    at that step from the unlabeled ids ``outside`` (ascending).
+    both ways round, and stops once every element has a label.
+    ``pick(step, outside)`` chooses the generators to try at that step
+    from the unlabeled ids ``outside`` (ascending).
     ``order[i]`` is the element labeled i and ``label[x]`` the label of x;
     both lists are reused and change once the walk resumes.
     """
     n = q.order
     rows = q.rows
+    cols = tuple(zip(*rows))
     order = [0]
     label = [-1] * n
     label[0] = 0
@@ -233,16 +250,23 @@ def _walks(q, pick):
         for g in pick(step, [x for x in range(n) if label[x] < 0]):
             label[g] = m
             order.append(g)
+            size = m + 1
             k = m
-            while k < len(order):
+            while k < size < n:
                 x = order[k]
                 row = rows[x]
-                for j in range(1, k + 1):
-                    y = order[j]
-                    for z in (row[y], rows[y][x]):
-                        if label[z] < 0:
-                            label[z] = len(order)
-                            order.append(z)
+                col = cols[x]
+                for y in order[1:k + 1]:
+                    z = row[y]
+                    if label[z] < 0:
+                        label[z] = size
+                        order.append(z)
+                        size += 1
+                    z = col[y]
+                    if label[z] < 0:
+                        label[z] = size
+                        order.append(z)
+                        size += 1
                 k += 1
             yield from walk(step + 1)
             for z in order[m:]:
@@ -300,7 +324,7 @@ def canonical_key(q):
     The key is itself a relabeled copy of q, so equal keys mean isomorphic
     loops.
     """
-    return tuple(v for row in _least_rows(q) for v in row)
+    return tuple(chain.from_iterable(_least_rows(q)))
 
 
 def isomorphic(q1, q2):

@@ -1,5 +1,8 @@
 """Table validation, loop operations, isotopes, isomorphism, io."""
 
+import hashlib
+from itertools import chain
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -162,6 +165,22 @@ def test_principal_isotope_at_identity_is_same(q5):
     assert principal_isotope(q5, 0, 0) == q5
 
 
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.data())
+def test_principal_isotope_matches_its_definition(q, data):
+    # x.y = sigma((sigma x / b) * (a \ sigma y)), sigma swapping 0 and ab.
+    n = q.order
+    a, b = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+    ldiv, rdiv = division_tables(q)
+    sigma = list(range(n))
+    e = q.mul(a, b)
+    sigma[0], sigma[e] = e, 0
+    iso = principal_isotope(q, a, b)
+    for x in range(n):
+        for y in range(n):
+            assert iso.mul(x, y) == sigma[q.mul(rdiv[sigma[x]][b], ldiv[a][sigma[y]])]
+
+
 def test_group_isotopes_stay_isomorphic():
     # Every loop isotopic to a group is isomorphic to it.
     g = cyclic(4)
@@ -187,6 +206,40 @@ def test_isomorphic_distinguishes_groups(z6, s3):
 def test_isomorphic_rejects_order_mismatch(z4, z6):
     with pytest.raises(OrderMismatch):
         isomorphic(z4, z6)
+
+
+def _cycle_lengths(p, n):
+    lens = [len(c) for c in p.cycles()]
+    return tuple(sorted(lens + [1] * (n - sum(lens))))
+
+
+_NAMED = (
+    cyclic(7),
+    dihedral(4),
+    direct_product(cyclic(2), cyclic(4)),
+    chein_double(dihedral(3)),
+    dihedral(8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(loops(), st.sampled_from(_NAMED)))
+def test_translation_fingerprints_match_cycle_structure(q):
+    n = q.order
+    want = [(_cycle_lengths(q.L(x), n), _cycle_lengths(q.R(x), n)) for x in range(n)]
+    memo = core._cycle_type
+    assert memo.cache_info().maxsize == 8192
+    memo.cache_clear()
+    assert core._translation_fingerprints(q) == want
+    hits = memo.cache_info().hits
+    assert core._translation_fingerprints(q) == want
+    # The second pass reads all 2n cycle types from the memo.
+    assert memo.cache_info().hits == hits + 2 * n
+
+
+def _digest(keys):
+    """sha256 over canonical keys in turn, one byte per entry (orders <= 64)."""
+    return hashlib.sha256(bytes(chain.from_iterable(keys))).hexdigest()
 
 
 def _is_isomorphism(phi, q1, q2):
@@ -226,7 +279,11 @@ def test_walk_engine_matches_oracle_on_corpus5(corpus5):
 def test_canonical_keys_match_oracle_on_every_order6_table():
     qs = search(SearchSpec(order=6, mode="collect")).found
     assert len(qs) == 9408
-    assert _same_partition(qs, canonical_key, oracle.canonical_key)
+    keys = [canonical_key(q) for q in qs]
+    # Pinned byte for byte, in search order: a faster engine must not move
+    # a single stored key, even to another complete invariant.
+    assert _digest(keys) == "4f85194b05e481dda284bc8a518cf15cbf08f41cee09a1af9e6acafcb9261ca3"
+    assert _same_partition(qs, dict(zip(qs, keys)).__getitem__, oracle.canonical_key)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,10 +315,14 @@ def test_canonical_table_walks_only_least_fingerprint_generators(monkeypatch):
             yield walk
 
     monkeypatch.setattr(core, "_walks", counting)
+    keys = []
     for q, expected in ((dihedral(8), 384), (chein_double(dihedral(3)), 432)):
         count[0] = 0
-        canonical_table(q)
+        keys.append(tuple(chain.from_iterable(canonical_table(q).rows)))
         assert count[0] == expected
+    assert _digest(keys) == (
+        "ee22e367c0faa29b693a4495018a5bdc1ffd9f99fedfdebdbcd22eb92dc52a29"
+    )
 
 
 @settings(max_examples=30, deadline=None)
