@@ -32,6 +32,9 @@ and the six cancellations such as ``t*(t\\u) = u``) are applied.  Each
 law holds on every Latin partial table with identity row and column
 whenever its left side is determined, so such an instance is never
 violated on the tables the search visits.
+
+``mirror`` gives the identity that holds in a loop exactly when a given
+one holds in the opposite loop; every right-hand law of loopkit is one.
 """
 
 from __future__ import annotations
@@ -105,6 +108,22 @@ def compile_identity(source):
     nvars = max((a + 1 for op, a, _b in ops if op == VAR), default=0)
     divides = any(op in (LDIV, RDIV) for op, _a, _b in ops)
     return Program(source, tuple(ops), lhs, rhs, nvars, divides)
+
+
+_MIRRORED = {MUL: "*", LDIV: "/", RDIV: "\\"}
+
+
+def mirror(prog):
+    """The identity that holds in Q exactly when ``prog`` holds in the
+    opposite loop, where x*y is y*x.  Every product has its operands
+    swapped, x\\y becomes y/x and x/y becomes y\\x; the variables keep
+    their names, so a law that ranges x over a set still ranges x.
+    Mirroring twice gives back any source spelled as loopkit's are."""
+    text = []
+    for op, a, b in prog.ops:
+        text.append(_VARS[a] if op == VAR else "e" if op == CONST
+                    else f"({text[b]}{_MIRRORED[op]}{text[a]})")
+    return compile_identity(f"{text[prog.lhs]} = {text[prog.rhs]}")
 
 
 def check_identity(q, prog, among=None):

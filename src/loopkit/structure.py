@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .core import LoopTable
 from .errors import NotASubloop, NotNormal
-from .identities import compile_identity, holders
+from .identities import compile_identity, holders, mirror
 
 
 class SubloopSet:
@@ -79,10 +79,10 @@ def is_subloop(q, s):
 
 
 # The nucleus laws and commutativity, each with a as x: a(xy) = (ax)y,
-# x(ay) = (xa)y, x(ya) = (xy)a and xa = ax.
+# x(ay) = (xa)y, (zy)a = z(ya), the left law's mirror, and xa = ax.
 _LEFT = compile_identity("(x*(y*z)) = ((x*y)*z)")
 _MIDDLE = compile_identity("(y*(x*z)) = ((y*x)*z)")
-_RIGHT = compile_identity("(y*(z*x)) = ((y*z)*x)")
+_RIGHT = mirror(_LEFT)
 _COMMUTE = compile_identity("(y*x) = (x*y)")
 
 

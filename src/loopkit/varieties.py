@@ -14,7 +14,7 @@ from functools import cached_property
 from . import perms, structure
 from .core import isomorphic, opposite, principal_isotope
 from .errors import UnknownVariety
-from .identities import check_identity, compile_identity
+from .identities import check_identity, compile_identity, mirror
 from .perms import Perm
 
 
@@ -77,6 +77,11 @@ def _eq(*sources):
     return tuple(compile_identity(s) for s in sources)
 
 
+def _twins(*sources):
+    """Each identity followed by its mirror."""
+    return tuple(t for prog in _eq(*sources) for t in (prog, mirror(prog)))
+
+
 _OSBORN_EQS = _eq(
     "(((x*(y*x))/x)*(z*x)) = (x*((y*z)*x))",
     "((x*((y*(e/x))*x))*(z*x)) = (x*((y*z)*x))",
@@ -90,40 +95,37 @@ _OSBORN_EQS = _eq(
 
 
 def _entries():
-    out = []
+    """The catalog.  Each right-hand entry is the mirror of its left one;
+    Osborn's forms are stated as the paper numbers them."""
+    out = {}
 
     def add(name, summary, eqs=(), parts=(), predicate=None, prop=()):
-        out.append(
-            VarietyEntry(name, summary, tuple(eqs), tuple(parts), predicate, tuple(prop))
-        )
+        out[name] = VarietyEntry(name, summary, tuple(eqs), tuple(parts), predicate, tuple(prop))
+
+    def mirrored(name):
+        return map(mirror, out[name].equations)
 
     add("associative", "associativity (the loop is a group)", _eq("((x*y)*z) = (x*(y*z))"))
     add("commutative", "commutativity", _eq("(x*y) = (y*x)"))
     add("lip", "left inverse property", _eq("((e/x)*(x*y)) = y"))
-    add("rip", "right inverse property", _eq("((y*x)*(x\\e)) = y"))
+    add("rip", "right inverse property", mirrored("lip"))
     add("ip", "inverse property (lip and rip)", parts=("lip", "rip"))
     add("lap", "left alternative", _eq("(x*(x*y)) = ((x*x)*y)"))
-    add("rap", "right alternative", _eq("((y*x)*x) = (y*(x*x))"))
+    add("rap", "right alternative", mirrored("lap"))
     add("ap", "alternative (lap and rap)", parts=("lap", "rap"))
     add("flx", "flexible", _eq("((x*y)*x) = (x*(y*x))"))
     add("lc", "left central", _eq("(x*(x*(y*z))) = ((x*(x*y))*z)"))
-    add("rc", "right central (mirror of lc)", _eq("(((z*y)*x)*x) = (z*((y*x)*x))"))
+    add("rc", "right central (mirror of lc)", mirrored("lc"))
     add("c", "central", _eq("(((y*x)*x)*z) = (y*(x*(x*z)))"))
     add("moufang", "Moufang", _eq("((x*y)*(z*x)) = (x*((y*z)*x))"))
     add("lbol", "left Bol", _eq("(x*(y*(x*z))) = ((x*(y*x))*z)"))
-    add("rbol", "right Bol (mirror of lbol)", _eq("(((z*x)*y)*x) = (z*((x*y)*x))"))
-    add(
-        "nuclear_squares",
-        "every square lies in the nucleus",
-        _eq(
-            "((x*x)*(y*z)) = (((x*x)*y)*z)",
-            "(y*((x*x)*z)) = ((y*(x*x))*z)",
-            "((y*z)*(x*x)) = (y*(z*(x*x)))",
-        ),
-    )
+    add("rbol", "right Bol (mirror of lbol)", mirrored("lbol"))
+    # The left and middle laws, and the right law as the left one's mirror.
+    left, middle = _eq("((x*x)*(y*z)) = (((x*x)*y)*z)", "(y*((x*x)*z)) = ((y*(x*x))*z)")
+    add("nuclear_squares", "every square lies in the nucleus", (left, middle, mirror(left)))
     add("extra", "extra (moufang with nuclear squares)", parts=("moufang", "nuclear_squares"))
     add("lcc", "left conjugacy closed", _eq("(((x*y)/x)*(x*z)) = (x*(y*z))"))
-    add("rcc", "right conjugacy closed", _eq("((y*x)*(x\\(z*x))) = ((y*z)*x)"))
+    add("rcc", "right conjugacy closed", mirrored("lcc"))
     add("cc", "conjugacy closed (lcc and rcc)", parts=("lcc", "rcc"))
     add("buchsteiner", "Buchsteiner", _eq("(x\\((x*y)*z)) = ((y*(z*x))/x)"))
     # The eight forms are equivalent, so any one propagates for all; form 4
@@ -133,11 +135,8 @@ def _entries():
         add(f"osborn{i + 1}", f"Osborn, equivalent form {i + 1} of 8", _OSBORN_EQS[i : i + 1],
             prop=_OSBORN_EQS[3:4])
     add("wip", "weak inverse property", _eq("(x*((y*x)\\e)) = (y\\e)"))
-    add(
-        "aaip",
-        "antiautomorphic inverse property",
-        _eq("(e/x) = (x\\e)", "((x*y)\\e) = ((y\\e)*(x\\e))"),
-    )
+    add("aaip", "antiautomorphic inverse property",
+        _eq("(e/x) = (x\\e)", "((x*y)\\e) = ((y\\e)*(x\\e))"))
     add("cip", "crossed inverse property", _eq("((x*y)*(x\\e)) = y"))
     add(
         "vd",
@@ -147,28 +146,14 @@ def _entries():
             "((x\\(z*x))*((x\\(y*x))*x)) = ((x\\((z*y)*x))*x)",
         ),
     )
-    add(
-        "gen_moufang",
-        "generalized Moufang",
-        _eq("(x*((y*z)*x)) = ((((e/y)*(e/x))\\e)*(z*x))"),
-    )
-    add(
-        "left_a",
-        "left inner mappings are automorphisms",
-        _eq("((x*y)\\(x*(y*(z*u)))) = (((x*y)\\(x*(y*z)))*((x*y)\\(x*(y*u))))"),
-    )
-    add(
-        "right_a",
-        "right inner mappings are automorphisms",
-        _eq("((((z*u)*y)*x)/(y*x)) = ((((z*y)*x)/(y*x))*(((u*y)*x)/(y*x)))"),
-    )
-    add(
-        "jaiyeola",
-        "two-sided square law",
-        _eq("((x*(x*y))*((e/x)*(x*z))) = (x*(x*(y*z)))"),
-    )
+    add("gen_moufang", "generalized Moufang",
+        _eq("(x*((y*z)*x)) = ((((e/y)*(e/x))\\e)*(z*x))"))
+    add("left_a", "left inner mappings are automorphisms",
+        _eq("((x*y)\\(x*(y*(z*u)))) = (((x*y)\\(x*(y*z)))*((x*y)\\(x*(y*u))))"))
+    add("right_a", "right inner mappings are automorphisms", mirrored("left_a"))
+    add("jaiyeola", "two-sided square law", _eq("((x*(x*y))*((e/x)*(x*z))) = (x*(x*(y*z)))"))
     add("gloop", "isomorphic to all its principal isotopes", predicate=lambda q: is_g_loop(q))
-    return {e.name: e for e in out}
+    return out
 
 
 CATALOG = _entries()
@@ -239,6 +224,8 @@ def is_g_loop(q):
 
 # The identities that rows of the suite and the order-16 report check,
 # keyed by check id.  Maps compose right to left; x^l = e/x and x^r = x\e.
+# ``_twins`` follows an identity with its mirror, which says of right
+# translations what the identity says of left ones.
 _IDENTITIES = {
     "lc_tenway_agreement": _eq(
         "((x*x)*(y*z)) = ((x*(x*y))*z)",
@@ -255,23 +242,19 @@ _IDENTITIES = {
         # [L(y), R(x)] = R(x y^r)^-1 R(y^r) R(x)
         "(y\\((y*(z*x))/x)) = (((z*x)*(y\\e))/(x*(y\\e)))",
     ),
-    "osborn_inner_pseudo_companions": _eq(
-        # L(x,y) = L(xy)^-1 L(x) L(y) is a right pseudoautomorphism with
-        # companion c = (y/x^r)(xy)^r: L(x,y)z * (L(x,y)u * c) = L(x,y)(zu) * c
+    # L(x,y) = L(xy)^-1 L(x) L(y) is a right pseudoautomorphism with
+    # companion c = (y/x^r)(xy)^r: L(x,y)z * (L(x,y)u * c) = L(x,y)(zu) * c.
+    # Mirrored, R(x,y) = R(yx)^-1 R(x) R(y) is a left pseudoautomorphism
+    # with companion (yx)^l (x^l\y).
+    "osborn_inner_pseudo_companions": _twins(
         "(((x*y)\\(x*(y*z)))*(((x*y)\\(x*(y*u)))*((y/(x\\e))*((x*y)\\e))))"
         " = (((x*y)\\(x*(y*(z*u))))*((y/(x\\e))*((x*y)\\e)))",
-        # R(x,y) = R(yx)^-1 R(x) R(y) is a left pseudoautomorphism with
-        # companion c = (yx)^l (x^l\y): (c * R(x,y)z) * R(x,y)u = c * R(x,y)(zu)
-        "((((e/(y*x))*((e/x)\\y))*(((z*y)*x)/(y*x)))*(((u*y)*x)/(y*x)))"
-        " = (((e/(y*x))*((e/x)\\y))*((((z*u)*y)*x)/(y*x)))",
     ),
-    "osborn_inverse_translation_automorphisms": _eq(
-        # L(x^l) L(x) = L(x) L(x^r), and it is an automorphism
+    # L(x^l) L(x) = L(x) L(x^r), and it is an automorphism.  Mirrored,
+    # R(x^r) R(x) = R(x) R(x^l), and it is an automorphism.
+    "osborn_inverse_translation_automorphisms": _twins(
         "((e/x)*(x*y)) = (x*((x\\e)*y))",
-        # R(x) R(x^l) = R(x^r) R(x), and it is an automorphism
-        "((y*(e/x))*x) = ((y*x)*(x\\e))",
         "((e/x)*(x*(y*z))) = (((e/x)*(x*y))*((e/x)*(x*z)))",
-        "(((y*z)*(e/x))*x) = (((y*(e/x))*x)*((z*(e/x))*x))",
     ),
     "osborn_alpha_forms": _eq(
         # R(x)^-1 L(x) R(x) = L(x) R(x) R(x^l) = L(x^l)^-1
@@ -280,12 +263,8 @@ _IDENTITIES = {
         # R(x) R(x^l) L(x^l) L(x) = 1
         "((((e/x)*(x*y))*(e/x))*x) = y",
     ),
-    "buchsteiner_square_translations": _eq(
-        # L(x^2) = L(x) R(x)^-1 L(x) R(x)
-        "((x*x)*y) = (x*((x*(y*x))/x))",
-        # R(x^2) = R(x) L(x)^-1 R(x) L(x)
-        "(y*(x*x)) = ((x\\((x*y)*x))*x)",
-    ),
+    # L(x^2) = L(x) R(x)^-1 L(x) R(x); mirrored, R(x^2) = R(x) L(x)^-1 R(x) L(x).
+    "buchsteiner_square_translations": _twins("((x*x)*y) = (x*((x*(y*x))/x))"),
     "buchsteiner_right_square_translation": _eq(
         # R(x) R(x) L(x^2)^-1 L(x) L(x) = R(x^2)
         "((((x*x)\\(x*(x*y)))*x)*x) = (y*(x*x))",
@@ -296,8 +275,8 @@ _IDENTITIES = {
     "nuclear_square_left_translation": _eq("((x*x)*y) = (x*((e/x)\\y))"),
     # L(x^2) = L(x) R(x)^-1 L(x) R(x)
     "osborn_nuclear_square_translation": _eq("((x*x)*y) = (x*((x*(y*x))/x))"),
-    # L(x)^4 = 1 and R(x)^4 = 1, read at every y.
-    "fourth_power_translations": _eq("(x*(x*(x*(x*y)))) = y", "((((y*x)*x)*x)*x) = y"),
+    # L(x)^4 = 1 and, mirrored, R(x)^4 = 1, read at every y.
+    "fourth_power_translations": _twins("(x*(x*(x*(x*y)))) = y"),
 }
 
 
@@ -411,32 +390,6 @@ class Context:
         return None if below is None else below + 1
 
 
-def _check_a2_tenway(ctx):
-    # Three more of the ten conditions say that (L(x)^2, 1, L(x)^2) is an
-    # autotopism and that L(x)L(x)L(y) and L(y)L(x)L(x) are left
-    # translations.  Read at every z (and u), they are lc with its sides
-    # swapped, lc, and the third identity _IDENTITIES lists for this row.
-    n, (left, middle, _right) = ctx.q.order, ctx.nuclei
-    conds = [ctx.flag("lc"), *(ctx.holds((p,)) for p in _IDENTITIES["lc_tenway_agreement"])]
-    conds.append(ctx.flag("lap") and len(ctx.squares_in(left)) == n)
-    conds.append(ctx.flag("lap") and len(ctx.squares_in(middle)) == n)
-    conds.append(ctx.flag("lip") and len(ctx.squares_in(left)) == n)
-    return len(set(conds)) == 1
-
-
-def _check_a3_fiveway(ctx):
-    # The last condition, that (R(x)^-2, L(x)^2, 1) is an autotopism, is
-    # read at every y and z as the identity _IDENTITIES lists for this row.
-    n = ctx.q.order
-    return len({
-        ctx.flag("c"),
-        ctx.flag("lc") and ctx.flag("rc"),
-        ctx.flag("ip") and len(ctx.squares_in(ctx.nucleus)) == n,
-        ctx.flag("ap") and len(ctx.squares_in(ctx.nuclei[1])) == n,
-        ctx.holds(_IDENTITIES["c_fiveway_agreement"]),
-    }) == 1
-
-
 def _check_inner_equal(ctx):
     # The left and right inner mapping groups are the stabilizers of 0 in
     # Mlt_left and Mlt_right; both must equal the closure of the
@@ -446,12 +399,6 @@ def _check_inner_equal(ctx):
     il, ir = map(perms.stabilizer_of_0, ctx.mlt_sides)
     comms = (perms.commutator_LR(q, y, x) for x in range(n) for y in range(n))
     return il == ir and perms.closure(comms) == il
-
-
-def _check_square_autotopism(ctx):
-    q = ctx.q
-    via_triples = all(is_autotopism(q, *square_triple(q, x)) for x in range(q.order))
-    return via_triples == ctx.flag("jaiyeola")
 
 
 def _check_nuclear_autotopism_agreement(ctx):
@@ -473,6 +420,17 @@ def _flags(*names):
     return lambda ctx: all(ctx.flag(name) for name in names)
 
 
+def _laws(*progs):
+    """Every one of the identities holds."""
+    return lambda ctx: ctx.holds(progs)
+
+
+def _squares_in(subloop, *names):
+    """Every named catalog flag holds and every square lies in ``subloop(ctx)``."""
+    flags = _flags(*names)
+    return lambda ctx: flags(ctx) and len(ctx.squares_in(subloop(ctx))) == ctx.q.order
+
+
 def _agree(*conds):
     """The conditions all hold or all fail."""
     return lambda ctx: len({cond(ctx) for cond in conds}) == 1
@@ -492,11 +450,27 @@ def _holds(check_id, applies, among=lambda ctx: None):
 
 
 _SUITE = (
-    ("lc_tenway_agreement", _flags(), _check_a2_tenway),
-    ("c_fiveway_agreement", _flags(), _check_a3_fiveway),
+    # Three more of the ten conditions say that (L(x)^2, 1, L(x)^2) is an
+    # autotopism and that L(x)L(x)L(y) and L(y)L(x)L(x) are left
+    # translations.  Read at every z (and u), they are lc with its sides
+    # swapped, lc, and the third identity _IDENTITIES lists for this row.
+    ("lc_tenway_agreement", _flags(), _agree(
+        _flags("lc"), *map(_laws, _IDENTITIES["lc_tenway_agreement"]),
+        _squares_in(lambda ctx: ctx.nuclei[0], "lap"),
+        _squares_in(lambda ctx: ctx.nuclei[1], "lap"),
+        _squares_in(lambda ctx: ctx.nuclei[0], "lip"),
+    )),
+    # The last condition, that (R(x)^-2, L(x)^2, 1) is an autotopism, is
+    # read at every y and z as the identity _IDENTITIES lists for this row.
+    ("c_fiveway_agreement", _flags(), _agree(
+        _flags("c"), _flags("lc", "rc"),
+        _squares_in(lambda ctx: ctx.nucleus, "ip"),
+        _squares_in(lambda ctx: ctx.nuclei[1], "ap"),
+        _laws(*_IDENTITIES["c_fiveway_agreement"]),
+    )),
     _two_of_three("lcc_lc_lbol_two_of_three", _flags("lcc"), _flags("lc"), _flags("lbol")),
     ("lbol_lc_iff_left_nuclear_squares", _flags("lbol"),
-     _agree(_flags("lc"), lambda ctx: len(ctx.squares_in(ctx.nuclei[0])) == ctx.q.order)),
+     _agree(_flags("lc"), _squares_in(lambda ctx: ctx.nuclei[0]))),
     ("extra_loop_equivalences", _flags(), _agree(
         _flags("extra"),
         lambda ctx: ctx.flag("lc") and (
@@ -565,7 +539,11 @@ _SUITE = (
            lambda ctx: ctx.squares_in(ctx.nucleus)),
     _holds("osborn_nuclear_square_translation", _flags("osborn"),
            lambda ctx: ctx.squares_in(ctx.nucleus)),
-    ("square_law_autotopism_agreement", _flags(), _check_square_autotopism),
+    ("square_law_autotopism_agreement", _flags(), _agree(
+        lambda ctx: all(is_autotopism(ctx.q, *square_triple(ctx.q, x))
+                        for x in range(ctx.q.order)),
+        _flags("jaiyeola"),
+    )),
     ("nucleus_autotopism_route_agreement", _flags(), _check_nuclear_autotopism_agreement),
 )
 

@@ -74,6 +74,14 @@ def classes6():
     return [(f"order6-{i}", q) for i, q in enumerate(res.found)]
 
 
+@pytest.fixture(scope="session")
+def small_classes(classes6):
+    """The 120 loops of order 1 to 6 up to isomorphism."""
+    smaller = [q for n in range(1, 6)
+               for q in search(SearchSpec(n, mode="collect", isomorphs="up_to_iso")).found]
+    return smaller + [q for _id, q in classes6]
+
+
 @pytest.fixture()
 def holders_runs(monkeypatch):
     """A one-item list that counts the a that ``structure.holders`` tests,

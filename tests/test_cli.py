@@ -336,10 +336,27 @@ def test_isotopes_of_group(z4_file, capsys):
     assert "gloop: yes" in out
 
 
+def test_isotopes_budget_exceeded(z4_file, capsys):
+    assert cli.main(["isotopes", z4_file, "--budget-seconds", "0"]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_quotient_by_named_subloop(s3_file, capsys):
     assert cli.main(["quotient", s3_file, "--by", "0,1,2"]) == 0
     out = capsys.readouterr().out
     assert loads(out).order == 2
+
+
+def test_quotient_by_listed_ids(tmp_path, capsys):
+    path = tmp_path / "z6.loop"
+    dump_path(cyclic(6), str(path))
+    assert cli.main(["quotient", str(path), "--by", "0,3"]) == 0
+    assert loads(capsys.readouterr().out).order == 3
+
+
+def test_quotient_rejects_malformed_ids(s3_file, capsys):
+    assert cli.main(["quotient", s3_file, "--by", "0,x"]) == 1
+    assert "quotient: --by must name a subloop or list ids" in capsys.readouterr().err
 
 
 def test_quotient_not_normal(s3_file, capsys):

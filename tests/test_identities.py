@@ -24,10 +24,12 @@ from loopkit.identities import (
     check_identity,
     compile_identity,
     holders,
+    mirror,
     nontrivial_assignments,
     partial_evaluator,
     positions,
 )
+from loopkit.core import opposite
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import CATALOG, propagation_programs
 
@@ -347,3 +349,32 @@ def test_ops_spell_the_source_with_each_subterm_once():
         assert f"{lhs}={rhs}" == prog.source.replace(" ", ""), prog.source
         assert len(set(prog.ops)) == len(prog.ops), prog.source
         assert visited == list(range(len(prog.ops))), prog.source
+
+
+def test_mirror_spells_the_mirrored_source():
+    # Products swap their operands, x\y becomes y/x and x/y becomes y\x,
+    # and the variables keep their names.
+    assert mirror(LIP).source == "((y*x)*(x\\e)) = y"
+    assert mirror(ASSOC).source == "(z*(y*x)) = ((z*y)*x)"
+    assert mirror(compile_identity("((x/y)\\e) = (y\\(x*e))")).source == "(e/(y\\x)) = ((e*x)/y)"
+
+
+# Every catalog and suite program, and the laws of the nuclei and center.
+MIRROR_PROGRAMS = (*SUITE_PROGRAMS, structure._LEFT, structure._MIDDLE, structure._RIGHT,
+                   structure._COMMUTE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.data())
+def test_mirror_holds_exactly_where_the_program_holds_in_the_opposite_loop(q, data):
+    # With every variable over the loop, and with x over a drawn set, as
+    # the suite's rows and the nuclei range it.
+    n, opp = q.order, opposite(q)
+    among = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for prog in MIRROR_PROGRAMS:
+        twin = mirror(prog)
+        assert mirror(twin).source == prog.source
+        assert check_identity(q, twin) == oracle_check_identity(opp, prog), prog.source
+        expected = all(holds_at(opp, prog, (a, *rest))
+                       for a in among for rest in product(range(n), repeat=prog.nvars - 1))
+        assert check_identity(q, twin, among) == expected, (prog.source, among)

@@ -173,6 +173,15 @@ def test_modes_are_consistent():
         (6, ("vd",), (), "count", 120, 3579),
         (6, ("gen_moufang",), (), "count", 120, 10424),
         (6, ("lip",), (), "count", 316, 4462),
+        # Right-hand entries, whose laws are the mirrors of their left
+        # statements: the same nodes as the laws typed by hand.
+        (6, ("rip",), (), "count", 316, 5246),
+        (6, ("rap",), (), "count", 146, 3064),
+        (6, ("rc",), (), "count", 86, 1748),
+        (6, ("rbol",), (), "count", 80, 1654),
+        (6, ("rcc",), (), "count", 180, 5662),
+        (6, ("right_a",), ("associative",), "count", 140, 9309),
+        (6, ("nuclear_squares",), (), "count", 168, 3475),
     ],
 )
 def test_node_counts_are_pinned(order, required, forbidden, mode, count, visited):

@@ -13,9 +13,8 @@ from loop_strategies import loops
 from loopkit import perms, structure, varieties
 from loopkit.core import LoopTable, direct_product, isomorphic, opposite, principal_isotope
 from loopkit.errors import LoopError, UnknownVariety
-from loopkit.identities import check_identity
+from loopkit.identities import check_identity, compile_identity, mirror
 from loopkit.perms import Perm
-from loopkit.search import SearchSpec, search
 from loopkit.tables import chein_double, cyclic, dihedral
 from loopkit.varieties import (
     catalog_names,
@@ -97,20 +96,91 @@ def test_propagation_programs_only_for_equational():
     assert propagation_programs("gloop") == ()
 
 
-def test_propagation_programs_hold_on_every_member(classes6):
+def test_propagation_programs_hold_on_every_member(small_classes):
     # A search prunes a table that violates a propagator, so each one must
     # be implied by its entry: it holds on every member of the entry among
     # the classes of order at most 6.
-    classes = [q for n in range(1, 6)
-               for q in search(SearchSpec(n, mode="collect", isomorphs="up_to_iso")).found]
-    classes += [q for _id, q in classes6]
-    assert len(classes) == 120
+    assert len(small_classes) == 120
     for name in catalog_names():
         progs = propagation_programs(name)
-        members = [q for q in classes if progs and check_variety(q, name)]
+        members = [q for q in small_classes if progs and check_variety(q, name)]
         for q in members:
             for prog in progs:
                 assert oracle_check_identity(q, prog), (name, q.rows, prog.source)
+
+
+MIRROR_PAIRS = (("lip", "rip"), ("lap", "rap"), ("lc", "rc"), ("lbol", "rbol"),
+                ("lcc", "rcc"), ("left_a", "right_a"))
+
+
+# Each right-hand law as it was typed beside its left twin before
+# ``identities.mirror`` derived it, keyed by where the derived laws live.
+HAND_TYPED = {
+    "rip": ("((y*x)*(x\\e)) = y",),
+    "rap": ("((y*x)*x) = (y*(x*x))",),
+    "rc": ("(((z*y)*x)*x) = (z*((y*x)*x))",),
+    "rbol": ("(((z*x)*y)*x) = (z*((x*y)*x))",),
+    "rcc": ("((y*x)*(x\\(z*x))) = ((y*z)*x)",),
+    "right_a": ("((((z*u)*y)*x)/(y*x)) = ((((z*y)*x)/(y*x))*(((u*y)*x)/(y*x)))",),
+    "nuclear_squares": ("((y*z)*(x*x)) = (y*(z*(x*x)))",),
+    "structure._RIGHT": ("(y*(z*x)) = ((y*z)*x)",),
+    "buchsteiner_square_translations": ("(y*(x*x)) = ((x\\((x*y)*x))*x)",),
+    "fourth_power_translations": ("((((y*x)*x)*x)*x) = y",),
+    "osborn_inverse_translation_automorphisms": (
+        "((y*(e/x))*x) = ((y*x)*(x\\e))",
+        "(((y*z)*(e/x))*x) = (((y*(e/x))*x)*((z*(e/x))*x))",
+    ),
+    "osborn_inner_pseudo_companions": (
+        "((((e/(y*x))*((e/x)\\y))*(((z*y)*x)/(y*x)))*(((u*y)*x)/(y*x)))"
+        " = (((e/(y*x))*((e/x)\\y))*((((z*u)*y)*x)/(y*x)))",
+    ),
+}
+
+
+def _derived_laws():
+    """The derived laws HAND_TYPED stands for, and their left statements."""
+    ids = varieties._IDENTITIES
+    squares = get_entry("nuclear_squares").equations
+    return {
+        **{right: (get_entry(right).equations, get_entry(left).equations)
+           for left, right in MIRROR_PAIRS},
+        "nuclear_squares": (squares[2:], squares[:1]),
+        "structure._RIGHT": ((structure._RIGHT,), (structure._LEFT,)),
+        **{row: (ids[row][1::2], ids[row][::2]) for row in (
+            "buchsteiner_square_translations", "fourth_power_translations",
+            "osborn_inverse_translation_automorphisms", "osborn_inner_pseudo_companions")},
+    }
+
+
+def _holding_x(q, progs):
+    """The x at which every one of ``progs`` holds for all values of the
+    other variables, by the interpreted oracle."""
+    n = q.order
+    return [a for a in range(n)
+            if all(holds_at(q, p, (a, *rest)) for p in progs
+                   for rest in product(range(n), repeat=p.nvars - 1))]
+
+
+def test_derived_right_laws_match_the_hand_typed_ones(small_classes):
+    # Each law is the mirror of its left statement, and holds at the same
+    # x as the text it replaced on every class of order at most 6.  In the
+    # automorphism row the derived R(x^r)R(x) and the typed R(x)R(x^l)
+    # agree where R(x)R(x^l) = R(x^r)R(x), which the row also checks.
+    derived = _derived_laws()
+    assert derived.keys() == HAND_TYPED.keys()
+    assert len(small_classes) == 120
+    for key, (laws, left) in derived.items():
+        assert laws == tuple(map(mirror, left)), key
+        typed = tuple(map(compile_identity, HAND_TYPED[key]))
+        for q in small_classes:
+            assert _holding_x(q, laws) == _holding_x(q, typed), (key, q.rows)
+
+
+def test_right_entries_are_left_entries_of_the_opposite_loop(small_classes):
+    for q in small_classes:
+        opp = opposite(q)
+        for left, right in MIRROR_PAIRS:
+            assert check_variety(q, right) == check_variety(opp, left), (right, q.rows)
 
 
 def test_groups_hit_expected_flags(z6, s3):
