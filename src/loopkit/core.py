@@ -12,7 +12,8 @@ Conventions used everywhere in this package:
 Division tables are built on first use, by ``LoopTable.divisions``, and
 kept: a table that is only multiplied, keyed or scanned for its nuclei
 never builds them.  After that, every element level operation is an O(1)
-lookup.
+lookup.  The ``bytes.translate`` tables of ``LoopTable.translations`` are
+built and kept the same way, one kind at a time, for orders up to 256.
 
 Canonical forms and isomorphism share one labeling engine, the walk: label
 0, then, until every element has a label, give the next label to a
@@ -52,7 +53,7 @@ MAX_ORDER = 64
 class LoopTable:
     """A loop of order n as an immutable row-major Cayley table."""
 
-    __slots__ = ("order", "rows", "_ldiv", "_rdiv")
+    __slots__ = ("order", "rows", "_ldiv", "_rdiv", "_translations")
 
     def __init__(self, rows, check=True, max_order=None):
         rows = tuple(tuple(row) for row in rows)
@@ -60,7 +61,7 @@ class LoopTable:
             _check_table(rows, max_order if max_order is not None else MAX_ORDER)
         self.order = len(rows)
         self.rows = rows
-        self._ldiv = self._rdiv = None
+        self._ldiv = self._rdiv = self._translations = None
 
     def divisions(self):
         """The division tables ``(ldiv, rdiv)``, built on first use:
@@ -77,6 +78,22 @@ class LoopTable:
             self._ldiv = tuple(map(tuple, ld))
             self._rdiv = tuple(map(tuple, rd))
         return self._ldiv, self._rdiv
+
+    def translations(self, op, side):
+        """The ``bytes.translate`` tables of the operation ``op``, one of
+        "*", "\\" and "/", with its left operand fixed (side 0) or its right
+        one (side 1), built on first use and kept: table a maps t to a op t,
+        or to t op a.  Each is 256 bytes, zero past the order, so only
+        loops of order at most 256 have them."""
+        if self._translations is None:
+            self._translations = {}
+        tables = self._translations.get((op, side))
+        if tables is None:
+            table = self.rows if op == "*" else self.divisions()[op == "/"]
+            pad = bytes(256 - self.order)
+            tables = self._translations[op, side] = tuple(
+                bytes(line) + pad for line in (zip(*table) if side else table))
+        return tables
 
     def mul(self, x, y):
         return self.rows[x][y]

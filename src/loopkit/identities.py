@@ -16,12 +16,16 @@ nested loop whose outermost loop, over x, reads its own range:
 ``check_identity`` runs it with every variable over the whole loop, or
 with x alone over a given range, and ``holders`` runs it once for each
 candidate a, with x = a and the other variables over a given range, to
-find the a at which a law holds, such as the members of a nucleus.
-``partial_evaluator`` evaluates one ground instance on a partial table
-of a given order and reports the first cell that blocks it.  The
-partial evaluator is what makes sound search pruning possible: an
-instance is only judged when every cell it reads is filled.  It reads
-divisions from a position index of the partial table, built by
+find the a at which a law holds, such as the members of a nucleus.  The
+checker has two forms, each generated once: on loops of order
+``VECTOR_ORDER`` to 256 its innermost variable is not a loop but the
+bytes of its range, and each term that reads it is a ``bytes.translate``
+of that vector, one C call for the whole row; on other orders every
+variable is a loop.  ``partial_evaluator`` evaluates one ground instance
+on a partial table of a given order and reports the first cell that
+blocks it.  The partial evaluator is what makes sound search pruning
+possible: an instance is only judged when every cell it reads is filled.
+It reads divisions from a position index of the partial table, built by
 ``positions`` and kept up to date by the search as cells change, so a
 division the table already determines is one list lookup.
 
@@ -45,6 +49,7 @@ from itertools import product
 VAR, CONST, MUL, LDIV, RDIV = range(5)
 _VARS = "xyzu"
 _OPS = {"*": MUL, "\\": LDIV, "/": RDIV}
+_SYMBOLS = {op: symbol for symbol, op in _OPS.items()}
 
 # A partial evaluator returns SAT or VIOLATED when no hole blocks the
 # instance, and otherwise the index of the blocking cell.
@@ -61,8 +66,10 @@ class Program:
     rhs: int
     nvars: int
     divides: bool
-    # Generated functions: the full-table checker under None, the partial
-    # evaluator for order n under n.
+    uses_x: bool
+    # Generated functions: the full-table checker and the translate tables
+    # it reads, under None in its scalar form and under "bytes" in its
+    # vector form; the partial evaluator for order n under n.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The result of nontrivial_assignments for order n under n.
     nontrivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -107,7 +114,7 @@ def compile_identity(source):
     lhs, rhs = (side(text.replace(" ", "")) for text in source.split("="))
     nvars = max((a + 1 for op, a, _b in ops if op == VAR), default=0)
     divides = any(op in (LDIV, RDIV) for op, _a, _b in ops)
-    return Program(source, tuple(ops), lhs, rhs, nvars, divides)
+    return Program(source, tuple(ops), lhs, rhs, nvars, divides, (VAR, 0, 0) in index)
 
 
 _MIRRORED = {MUL: "*", LDIV: "/", RDIV: "\\"}
@@ -129,32 +136,57 @@ def mirror(prog):
 def check_identity(q, prog, among=None):
     """Whether the identity holds for all assignments; early exit on failure.
     With ``among``, x ranges over ``among`` alone; ``prog`` must then use
-    x, which its checker's outermost loop binds."""
+    x, which its checker's outermost loop binds, or ValueError is raised."""
     everything = range(q.order)
-    among = everything if among is None else among
-    return _checker(prog)(*_tables(q, prog), among, everything)
+    if among is None:
+        among = everything
+    else:
+        _require_x(prog)
+    check, tables, _ = _checker(q, prog)
+    return check(*tables, among, everything)
 
 
 def holders(q, prog, among, others):
     """The a in ``among``, in order, at which the identity holds for x = a
     and every other variable ranging over ``others``.  ``prog`` must use x,
-    which its checker's outermost loop binds."""
-    check, tables = _checker(prog), _tables(q, prog)
+    which its checker's outermost loop binds, or ValueError is raised."""
+    _require_x(prog)
+    check, tables, vector = _checker(q, prog)
+    if vector:
+        others = bytes(others)  # the vector form's bytes(R), made once for every a
     return tuple(a for a in among if check(*tables, (a,), others))
 
 
-def _checker(prog):
-    """The full-table checker, generated on first use."""
-    check = prog.compiled.get(None)
-    if check is None:
-        check = prog.compiled[None] = _build(_full_source(prog), "check")
-    return check
+def _require_x(prog):
+    if not prog.uses_x:
+        raise ValueError(f"{prog.source!r} has no x to range over a given set")
 
 
-def _tables(q, prog):
-    """The checker's table arguments: the division tables only when the
-    identity divides, so a multiplication-only identity never builds them."""
-    return (q.rows, *q.divisions()) if prog.divides else (q.rows, None, None)
+# The least order whose checker runs its innermost variable as bytes.
+# Each call pays for its vectors and each loop for its translate tables,
+# and a vector has no early exit within its row.  Over random loops and
+# groups, 12 is the least order at which both check_identity and holders
+# were faster in every measured pair; at 8 holders lost every pair.
+VECTOR_ORDER = 12
+
+
+def _checker(q, prog):
+    """The full-table checker for the order of q, generated on first use,
+    its table arguments, and whether it is the vector form.  The division
+    tables are passed only when the identity divides, so a
+    multiplication-only identity never builds them; the vector form's
+    translate tables only when it reads them."""
+    vector = VECTOR_ORDER <= q.order <= 256
+    key = "bytes" if vector else None
+    compiled = prog.compiled.get(key)
+    if compiled is None:
+        source, translated = _full_source(prog, vector)
+        compiled = prog.compiled[key] = _build(source, "check"), translated
+    check, translated = compiled
+    tables = (q.rows, *q.divisions()) if prog.divides else (q.rows, None, None)
+    if translated:
+        tables += tuple(q.translations(_SYMBOLS[op], side) for op, side in translated)
+    return check, tables, vector
 
 
 def partial_evaluator(prog, n):
@@ -281,19 +313,34 @@ def _build(source, name):
 
 
 _TABLES = {MUL: "rows", LDIV: "ld", RDIV: "rd"}
+# The translate tables of each operation, with its left operand fixed
+# (side 0) or its right one (side 1), as the vector form names them.
+_TRANSLATIONS = {(MUL, 0): "mrow", (MUL, 1): "mcol", (LDIV, 0): "lrow",
+                 (LDIV, 1): "lcol", (RDIV, 0): "rrow", (RDIV, 1): "rcol"}
 
 
-def _full_source(prog):
+def _full_source(prog, vector=False):
     """A nested loop over the variables the identity uses; the outermost
-    one ranges over R0, the others over R.
+    one ranges over R0, the others over R.  Returns the source and the
+    (op, side) keys of the translate tables it reads, in the order of the
+    arguments that follow rd.
 
     Each term is computed at the outermost level that binds all of its
     variables, a row of a table is looked up at the level of its row
     operand, and a term read once at its own level is written inline.
+
+    The vector form has no loop over the innermost variable: it is the
+    bytes of its range, and each term that reads it is the vector of its
+    values over that range.  a op t and t op b are one ``bytes.translate``
+    of t by the translate table of a or b, looked up at that operand's
+    level; a term whose operands are both vectors, such as z*z, is built
+    element by element.  A side that does not read the innermost variable
+    is repeated to the vector's length, and the sides compare as bytes.
     """
     terms, lhs, rhs = prog.ops, prog.lhs, prog.rhs
     used = sorted(a for op, a, _b in terms if op == VAR)
     depth = len(used)
+    inner = depth if vector and depth else None
     level = []
     for op, a, b in terms:
         if op == VAR:
@@ -315,6 +362,15 @@ def _full_source(prog):
     stmts = [[] for _ in range(depth + 1)]
     expr = []
     row_names = {}
+    translated = set()
+
+    def hoist(key, at, row):
+        """The name of ``row``, looked up once at level ``at``."""
+        if key not in row_names:
+            row_names[key] = f"h{len(row_names)}"
+            stmts[at].append(f"{row_names[key]} = {row}")
+        return row_names[key]
+
     for j, (op, a, b) in enumerate(terms):
         if op == VAR:
             expr.append(f"v{a}")
@@ -322,28 +378,42 @@ def _full_source(prog):
         if op == CONST:
             expr.append("0")
             continue
-        row = f"{_TABLES[op]}[{expr[a]}]"
-        if level[a] < level[j]:
-            if (op, a) not in row_names:
-                row_names[(op, a)] = f"h{len(row_names)}"
-                stmts[level[a]].append(f"{row_names[(op, a)]} = {row}")
-            row = row_names[(op, a)]
+        if level[j] != inner:
+            row = f"{_TABLES[op]}[{expr[a]}]"
+            if level[a] < level[j]:
+                row = hoist((op, a), level[a], row)
+            value = f"{row}[{expr[b]}]"
+        elif level[a] == inner == level[b]:
+            value = f"bytes([{_TABLES[op]}[s][t] for s, t in zip({expr[a]}, {expr[b]})])"
+        else:
+            side, fixed, vec = (1, b, a) if level[a] == inner else (0, a, b)
+            translated.add((op, side))
+            table = hoist((op, side, fixed), level[fixed],
+                          f"{_TRANSLATIONS[op, side]}[{expr[fixed]}]")
+            value = f"{expr[vec]}.translate({table})"
         if reads[j] == [level[j]]:
-            expr.append(f"{row}[{expr[b]}]")
+            expr.append(value)
         else:
             expr.append(f"t{j}")
-            stmts[level[j]].append(f"t{j} = {row}[{expr[b]}]")
-    stmts[depth] += [f"if {expr[lhs]} != {expr[rhs]}:", "    return False"]
+            stmts[level[j]].append(f"t{j} = {value}")
+    sides = [expr[lhs], expr[rhs]]
+    tables = tuple(key for key in _TRANSLATIONS if key in translated)
+    if inner:
+        var = f"v{used[-1]}"
+        stmts[0].insert(0, f"{var} = bytes({'R0' if depth == 1 else 'R'})")
+        sides = [text if level[k] == inner else f"bytes(({text},)) * len({var})"
+                 for k, text in zip((lhs, rhs), sides)]
+    stmts[depth] += [f"if {sides[0]} != {sides[1]}:", "    return False"]
 
-    lines = ["def check(rows, ld, rd, R0, R):"]
+    lines = [f"def check(rows, ld, rd, {''.join(_TRANSLATIONS[k] + ', ' for k in tables)}R0, R):"]
     indent = "    "
     for d in range(depth + 1):
-        if d:
+        if d and d != inner:
             lines.append(f"{indent}for v{used[d - 1]} in {'R0' if d == 1 else 'R'}:")
             indent += "    "
         lines.extend(indent + s for s in stmts[d])
     lines.append("    return True")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", tables
 
 
 def _partial_source(prog, n):

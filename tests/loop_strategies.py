@@ -2,7 +2,8 @@
 
 from hypothesis import strategies as st
 
-from loopkit.core import LoopTable
+from loopkit.core import LoopTable, direct_product, principal_isotope
+from loopkit.tables import cyclic
 
 
 @st.composite
@@ -30,6 +31,20 @@ def loops(draw, order=None):
 
     assert fill(0)
     return LoopTable(rows)
+
+
+@st.composite
+def product_loops(draw, min_order, max_order):
+    """A loop of order min_order to max_order: the direct product of a
+    random loop with Z2 or Z3, or a principal isotope of that product,
+    which need not be a product itself.  Both factors must fit the range."""
+    m = draw(st.sampled_from((2, 3)))
+    q = direct_product(draw(loops(draw(st.integers(-(-min_order // m), max_order // m)))),
+                       cyclic(m))
+    if draw(st.booleans()):
+        n = q.order
+        q = principal_isotope(q, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    return q
 
 
 def relabel(q, sigma):

@@ -11,7 +11,7 @@ from identity_oracle import SAT as ORACLE_SAT
 from identity_oracle import UNDET, eval_partial, holds_at
 from identity_oracle import VIOLATED as ORACLE_VIOLATED
 from identity_oracle import check_identity as oracle_check_identity
-from loop_strategies import loops, partial_latin_grids
+from loop_strategies import loops, partial_latin_grids, product_loops
 from loopkit import structure, varieties
 from loopkit.identities import (
     CONST,
@@ -20,7 +20,9 @@ from loopkit.identities import (
     RDIV,
     SAT,
     VAR,
+    VECTOR_ORDER,
     VIOLATED,
+    _full_source,
     check_identity,
     compile_identity,
     holders,
@@ -29,7 +31,7 @@ from loopkit.identities import (
     partial_evaluator,
     positions,
 )
-from loopkit.core import opposite
+from loopkit.core import LoopTable, direct_product, opposite, principal_isotope
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import CATALOG, propagation_programs
 
@@ -75,11 +77,37 @@ def test_divisions_in_identities():
 
 
 def test_multiplication_only_identities_build_no_divisions():
-    q = dihedral(4)
-    assert check_identity(q, ASSOC)
-    assert q._ldiv is None and q._rdiv is None
-    assert check_identity(q, LIP)
-    assert q._ldiv is not None
+    # dihedral(8), of order 16, runs the vector form and its translate tables.
+    for q in (dihedral(4), dihedral(8)):
+        assert check_identity(q, ASSOC)
+        assert q._ldiv is None and q._rdiv is None
+        assert check_identity(q, LIP)
+        assert q._ldiv is not None
+
+
+def test_translate_tables_fix_one_operand():
+    q = principal_isotope(direct_product(dihedral(3), cyclic(2)), 5, 7)
+    n = q.order
+    ld, rd = q.divisions()
+    for op, table in (("*", q.rows), ("\\", ld), ("/", rd)):
+        rows, cols = q.translations(op, 0), q.translations(op, 1)
+        assert q.translations(op, 0) is rows
+        for a in range(n):
+            assert len(rows[a]) == len(cols[a]) == 256
+            assert rows[a][n:] == cols[a][n:] == bytes(256 - n)
+            assert all(rows[a][t] == table[a][t] and cols[a][t] == table[t][a] for t in range(n))
+
+
+def test_checks_over_some_x_need_x():
+    # Without x, among would bind the first variable the program uses:
+    # y*y = e holds at y in {0, 2} of Z4 but not over the loop.
+    square = compile_identity("(y*y) = e")
+    q = cyclic(4)
+    assert not check_identity(q, square)
+    with pytest.raises(ValueError, match="no x"):
+        check_identity(q, square, [0, 2])
+    with pytest.raises(ValueError, match="no x"):
+        holders(q, square, range(4), range(4))
 
 
 def test_constant_evaluates_to_identity_element():
@@ -184,6 +212,103 @@ def test_compiled_functions_are_cached_per_order():
     checker = prog.compiled[None]
     assert check_identity(dihedral(3), prog)
     assert prog.compiled[None] is checker
+    # The vector form is generated once, for every order that runs it,
+    # and leaves the scalar form in place.
+    assert "bytes" not in prog.compiled
+    assert check_identity(cyclic(VECTOR_ORDER), prog)
+    vector = prog.compiled["bytes"]
+    assert vector is not checker
+    assert check_identity(dihedral(8), prog) and holders(dihedral(8), prog, (1,), range(16))
+    assert prog.compiled["bytes"] is vector and prog.compiled[None] is checker
+    assert set(prog.compiled) == {None, "bytes", 4, 5}
+
+
+def test_full_source_spells_both_forms():
+    # Below VECTOR_ORDER the checker loops over every variable; from it
+    # on, the innermost variable is the bytes of its range, and each term
+    # that reads it is one translate of a vector.
+    assert _full_source(ASSOC) == ("""\
+def check(rows, ld, rd, R0, R):
+    for v0 in R0:
+        h0 = rows[v0]
+        for v1 in R:
+            h1 = rows[h0[v1]]
+            h2 = rows[v1]
+            for v2 in R:
+                if h1[v2] != h0[h2[v2]]:
+                    return False
+    return True
+""", ())
+    assert _full_source(ASSOC, vector=True) == ("""\
+def check(rows, ld, rd, mrow, R0, R):
+    v2 = bytes(R)
+    for v0 in R0:
+        h0 = rows[v0]
+        h3 = mrow[v0]
+        for v1 in R:
+            h1 = mrow[h0[v1]]
+            h2 = mrow[v1]
+            if v2.translate(h1) != v2.translate(h2).translate(h3):
+                return False
+    return True
+""", ((MUL, 0),))
+    buchsteiner = CATALOG["buchsteiner"].equations[0]
+    assert buchsteiner.source == "(x\\((x*y)*z)) = ((y*(z*x))/x)"
+    assert _full_source(buchsteiner) == ("""\
+def check(rows, ld, rd, R0, R):
+    for v0 in R0:
+        h0 = rows[v0]
+        h2 = ld[v0]
+        for v1 in R:
+            h1 = rows[h0[v1]]
+            h3 = rows[v1]
+            for v2 in R:
+                if h2[h1[v2]] != rd[h3[rows[v2][v0]]][v0]:
+                    return False
+    return True
+""", ())
+    assert _full_source(buchsteiner, vector=True) == ("""\
+def check(rows, ld, rd, mrow, mcol, lrow, rcol, R0, R):
+    v2 = bytes(R)
+    for v0 in R0:
+        h0 = rows[v0]
+        h2 = lrow[v0]
+        h3 = mcol[v0]
+        h5 = rcol[v0]
+        for v1 in R:
+            h1 = mrow[h0[v1]]
+            h4 = mrow[v1]
+            if v2.translate(h1).translate(h2) != v2.translate(h3).translate(h4).translate(h5):
+                return False
+    return True
+""", ((MUL, 0), (MUL, 1), (LDIV, 0), (RDIV, 1)))
+
+
+def test_vector_form_builds_terms_that_read_the_innermost_variable_twice():
+    # z*z has two vector operands, and y\y = e a side without the variable.
+    square = compile_identity("(z*z) = (x*(y*z))")
+    assert "bytes([rows[s][t] for s, t in zip(v2, v2)])" in _full_source(square, vector=True)[0]
+    unit = compile_identity("(y\\y) = e")
+    assert "bytes((0,)) * len(v1)" in _full_source(unit, vector=True)[0]
+    for q in (cyclic(12), direct_product(cyclic(2), cyclic(7)), dihedral(8)):
+        for prog in (square, unit, compile_identity("((x*x)*y) = (x*(x*y))")):
+            assert check_identity(q, prog) == oracle_check_identity(q, prog), prog.source
+
+
+def _cyclic(n):
+    return LoopTable([[(i + j) % n for j in range(n)] for i in range(n)], max_order=n)
+
+
+def test_orders_above_256_run_the_scalar_form():
+    # Bytes hold ids below 256 only; larger loops keep the scalar loop.
+    # The ids below 43 are the central Z43 of S3 x Z43, and 43 is a flip.
+    for q, commutative in ((direct_product(dihedral(3), cyclic(43), max_order=258), False),
+                           (_cyclic(260), True)):
+        assert q.order > 256
+        assert check_identity(q, COMM) is commutative
+        assert check_identity(q, COMM, range(43))
+        assert check_identity(q, COMM, [43, 200]) is commutative
+        assert check_identity(q, LIP)
 
 
 # Every catalog equation and every program the search propagates.
@@ -235,6 +360,28 @@ def test_check_identity_over_some_x_matches_oracle(data):
         expected = all(holds_at(q, prog, (a, *rest))
                        for a in among for rest in product(range(n), repeat=prog.nvars - 1))
         assert check_identity(q, prog, among) == expected, prog.source
+
+
+def _holders_oracle(q, prog, others):
+    return tuple(a for a in range(q.order)
+                 if all(holds_at(q, prog, (a, *rest))
+                        for rest in product(others, repeat=prog.nvars - 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(product_loops(VECTOR_ORDER, 18), st.data())
+def test_vector_form_matches_oracle(q, data):
+    # The properties above draw loops of order 6 or less, which run the
+    # scalar form; these run the vector form.
+    n = q.order
+    assert VECTOR_ORDER <= n <= 18
+    among = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for prog in (*PROGRAMS, *HOLDER_PROGRAMS):
+        held = _holders_oracle(q, prog, range(n))
+        assert check_identity(q, prog) == (len(held) == n), prog.source
+        assert check_identity(q, prog, among) == set(among).issubset(held), (prog.source, among)
+        assert holders(q, prog, range(n), range(n)) == held, prog.source
+        assert holders(q, prog, range(n), range(1, n)) == _holders_oracle(q, prog, range(1, n))
 
 
 @settings(max_examples=300, deadline=None)
