@@ -6,7 +6,9 @@ with bijections pi_i(w) = p*w + i.  The resulting loop M has unit (0, 0)
 and contains S = {(0, t)} as a subloop that every standard inner
 generator maps INTO itself while some standard generator fails to map it
 ONTO itself, so S is not normal.  All operations are exact integer
-arithmetic; the loop is infinite and evaluated lazily.
+arithmetic; the loop is infinite and evaluated lazily.  ``window_audit``
+checks the defining laws on the elements whose first coordinate a has
+|a| <= p**3.
 """
 
 from __future__ import annotations
@@ -32,18 +34,13 @@ def _is_prime(n):
 
 @dataclass(frozen=True)
 class BKParams:
-    """Prime and audit window: first coordinates |a| up to window_a."""
+    """The prime p the loop is built from."""
 
     p: int
-    window_a: int = 0
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if self.window_a == 0:
-            object.__setattr__(self, "window_a", self.p**3)
-        if self.window_a < 1:
-            raise ValueError("window bound must be positive")
 
 
 class BKElement(NamedTuple):
@@ -167,8 +164,8 @@ def nonnormal_witness(params):
 
     It is also the first witness of the window scan that the tests keep
     as the reference: pairs ordered by |x.a| + |y.a|, then by the key
-    (|a|, a < 0, |t|, t < 0) of x, then of y, with |a| <= window_a and
-    |t| <= min(X, p**2) for a bound X; for each pair w in 0, 1, -1, 2,
+    (|a|, a < 0, |t|, t < 0) of x, then of y, with |a| <= A and
+    |t| <= min(X, p**2) for bounds A and X; for each pair w in 0, 1, -1, 2,
     -2, ... up to |w| <= X; the first preimage y\(x\(xy * (0,w))) outside
     S wins.  Four facts prove it:
 
@@ -184,7 +181,7 @@ def nonnormal_witness(params):
        divisions by x and then y give (1, t+w) and (0, w), all ordinary.
     3. w = 0 gives the unit: s0 is then the unit, and x\(xy) = y and
        y\y = (0,0) because divisions in a loop are unique.
-    4. Every legal window (window_a, X >= 1) holds (1,0), (-1,0) and
+    4. Every window with A, X >= 1 holds (1,0), (-1,0) and
        w = 1, the second value tried.
 
     Pairs with |x.a| + |y.a| <= 1 have a factor in S (fact 1).  Among
@@ -223,14 +220,15 @@ class AuditReport:
 
     def format(self):
         head = (
-            f"p={self.params.p} |a|<={self.params.window_a} "
+            f"p={self.params.p} |a|<={self.params.p**3} "
             f"checks={self.checks} violations={len(self.violations)}"
         )
         return "\n".join([head] + self.violations)
 
 
 def window_audit(params):
-    r"""Audit the construction over its window; violations must be empty.
+    r"""Audit the construction over the window |a| <= p**3; violations
+    must be empty.
 
     Parts: (a) division round-trips, u\(uv) = v, (uv)/v = u, u(u\v) = v
     and (u/v)v = u; (b) the class of an element is its left and its right
@@ -247,7 +245,7 @@ def window_audit(params):
     check and its first coset check.
     """
     p = params.p
-    bound_a = params.window_a
+    bound_a = p**3
     violations = []
     checks = [0]
 

@@ -67,7 +67,7 @@ def _nucleus_quotient_line(ctx):
 
 
 def cmd_check(args):
-    q = load_path(args.path, max_order=args.max_order)
+    q = load_path(args.path)
     ctx = varieties.Context(q)
     print(f"path: {args.path}")
     print(f"order: {q.order}")
@@ -126,7 +126,7 @@ def cmd_verify(args):
         name = os.path.basename(path)
         if name.endswith(".loop"):
             name = name[: -len(".loop")]
-        loops.append((name, load_path(path, max_order=args.max_order)))
+        loops.append((name, load_path(path)))
     if args.corpus is not None:
         loops.extend(_corpus(args.corpus, args.budget_nodes, args.budget_seconds))
     failures = 0
@@ -153,7 +153,7 @@ _CONSTRUCT_OPERANDS = {
 
 
 def cmd_construct(args):
-    params = bk.BKParams(args.p, window_a=args.window_a)
+    params = bk.BKParams(args.p)
     op, operands = args.op, args.args
     expected = _CONSTRUCT_OPERANDS[op]
     if len(operands) != len(expected.split()):
@@ -187,7 +187,7 @@ def cmd_construct(args):
 
 
 def cmd_isotopes(args):
-    q = load_path(args.path, max_order=args.max_order)
+    q = load_path(args.path)
     n = q.order
     start = time.monotonic()
     classes = {}
@@ -218,7 +218,7 @@ _NAMED_SUBLOOPS = {
 
 
 def cmd_quotient(args):
-    q = load_path(args.path, max_order=args.max_order)
+    q = load_path(args.path)
     if args.by in _NAMED_SUBLOOPS:
         s = _NAMED_SUBLOOPS[args.by](q)
     else:
@@ -252,7 +252,6 @@ def build_parser():
     c = sub.add_parser("check", help="report structure and variety flags of a table")
     c.add_argument("path")
     c.add_argument("--gloop", action="store_true", help="also decide the isotopy-invariance flag")
-    c.add_argument("--max-order", type=int, default=None)
     c.set_defaults(fn=cmd_check)
 
     s = sub.add_parser("search", help="enumerate loop tables under constraints")
@@ -270,22 +269,18 @@ def build_parser():
     v.add_argument("paths", nargs="*")
     v.add_argument("--corpus", type=int, default=None,
                    help="also verify every loop up to isomorphism through this order")
-    v.add_argument("--max-order", type=int, default=None)
     v.add_argument("--budget-nodes", type=int, default=None)
     v.add_argument("--budget-seconds", type=float, default=None)
     v.set_defaults(fn=cmd_verify)
 
     k = sub.add_parser("construct", help="query the integer-pair loop for a prime")
     k.add_argument("--p", type=int, required=True)
-    k.add_argument("--window-a", type=int, default=0,
-                   help="first-coordinate window bound, 0 means p cubed")
     k.add_argument("op", choices=tuple(_CONSTRUCT_OPERANDS))
     k.add_argument("args", nargs="*")
     k.set_defaults(fn=cmd_construct)
 
     i = sub.add_parser("isotopes", help="classify principal isotopes of a table")
     i.add_argument("path")
-    i.add_argument("--max-order", type=int, default=None)
     i.add_argument("--budget-seconds", type=float, default=None)
     i.set_defaults(fn=cmd_isotopes)
 
@@ -295,7 +290,6 @@ def build_parser():
                    help="center | nucleus | left-nucleus | middle-nucleus | right-nucleus "
                         "| comma-separated ids")
     t.add_argument("--out", default=None, help="write the quotient table here")
-    t.add_argument("--max-order", type=int, default=None)
     t.set_defaults(fn=cmd_quotient)
 
     return ap

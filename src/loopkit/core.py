@@ -13,7 +13,8 @@ Division tables are built on first use, by ``LoopTable.divisions``, and
 kept: a table that is only multiplied, keyed or scanned for its nuclei
 never builds them.  After that, every element level operation is an O(1)
 lookup.  The ``bytes.translate`` tables of ``LoopTable.translations`` are
-built and kept the same way, one kind at a time, for orders up to 256.
+built and kept the same way, one kind at a time.  Every table has order at
+most ``MAX_ORDER`` = 256, so each element id fits in a byte.
 
 Canonical forms and isomorphism share one labeling engine, the walk: label
 0, then, until every element has a label, give the next label to a
@@ -47,7 +48,8 @@ from .errors import (
 )
 from .perms import Perm
 
-MAX_ORDER = 64
+# The largest order whose element ids all fit in a byte.
+MAX_ORDER = 256
 
 
 class LoopTable:
@@ -55,10 +57,10 @@ class LoopTable:
 
     __slots__ = ("order", "rows", "_ldiv", "_rdiv", "_translations")
 
-    def __init__(self, rows, check=True, max_order=None):
+    def __init__(self, rows, check=True):
         rows = tuple(tuple(row) for row in rows)
         if check:
-            _check_table(rows, max_order if max_order is not None else MAX_ORDER)
+            _check_table(rows)
         self.order = len(rows)
         self.rows = rows
         self._ldiv = self._rdiv = self._translations = None
@@ -83,8 +85,7 @@ class LoopTable:
         """The ``bytes.translate`` tables of the operation ``op``, one of
         "*", "\\" and "/", with its left operand fixed (side 0) or its right
         one (side 1), built on first use and kept: table a maps t to a op t,
-        or to t op a.  Each is 256 bytes, zero past the order, so only
-        loops of order at most 256 have them."""
+        or to t op a.  Each is 256 bytes, zero past the order."""
         if self._translations is None:
             self._translations = {}
         tables = self._translations.get((op, side))
@@ -135,18 +136,19 @@ class LoopTable:
         return f"LoopTable(order={self.order})"
 
 
-def _check_table(rows, max_order):
+def _check_table(rows):
     n = len(rows)
     if n == 0:
         raise BadDimensions("empty table")
-    if n > max_order:
-        raise OrderTooLarge(f"order {n} exceeds maximum {max_order}")
+    if n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} exceeds maximum {MAX_ORDER}")
     for row in rows:
         if len(row) != n:
             raise BadDimensions(f"expected {n} columns, found {len(row)}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise BadDimensions(f"entry {v!r} out of range 0..{n - 1}")
+            # Not isinstance: dumps would write a bool as False or True.
+            if type(v) is not int or not 0 <= v < n:
+                raise BadDimensions(f"entry {v!r} is not an id in 0..{n - 1}")
     for i, row in enumerate(rows):
         if len(set(row)) != n:
             raise NotLatin("row", i)
@@ -166,12 +168,11 @@ def opposite(q):
     )
 
 
-def direct_product(q1, q2, max_order=None):
+def direct_product(q1, q2):
     """Componentwise product; (x1, x2) is encoded as x1 * q2.order + x2."""
     n1, n2 = q1.order, q2.order
-    limit = max_order if max_order is not None else MAX_ORDER
-    if n1 * n2 > limit:
-        raise OrderTooLarge(f"product order {n1 * n2} exceeds maximum {limit}")
+    if n1 * n2 > MAX_ORDER:
+        raise OrderTooLarge(f"product order {n1 * n2} exceeds maximum {MAX_ORDER}")
     rows = []
     for x1 in range(n1):
         for x2 in range(n2):
@@ -222,7 +223,7 @@ def _cycle_type(images):
     Memoized on the image tuple, since the many tables keyed in one run
     share most of their translations.  The memo keeps at most 8,192
     entries: room for every permutation of order 7 or less (1! + ... + 7!
-    = 5,913), and a few MB at most even at order 64.
+    = 5,913), and about 17 MB of image tuples even at order 256.
     """
     lens = []
     for s, t in enumerate(images):
@@ -388,7 +389,7 @@ def dumps(q):
     return "\n".join(lines) + "\n"
 
 
-def loads(text, max_order=None):
+def loads(text):
     """Parse the .loop text format.
 
     Line 1 is the order; the next n lines hold n whitespace separated ids.
@@ -416,12 +417,12 @@ def loads(text, max_order=None):
     except ValueError as exc:
         raise ParseError(f"bad entry: {exc}") from None
     rows = [tuple(vals[i * n : (i + 1) * n]) for i in range(n)]
-    return LoopTable(rows, check=True, max_order=max_order)
+    return LoopTable(rows)
 
 
-def load_path(path, max_order=None):
+def load_path(path):
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read(), max_order=max_order)
+        return loads(fh.read())
 
 
 def dump_path(q, path):

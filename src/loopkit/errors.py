@@ -26,7 +26,7 @@ class NoIdentity(LoopError):
 
 
 class OrderTooLarge(LoopError):
-    """Requested order exceeds the configured maximum."""
+    """Order exceeds ``core.MAX_ORDER``, 256."""
 
 
 class OrderMismatch(LoopError):

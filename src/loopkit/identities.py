@@ -18,9 +18,9 @@ with x alone over a given range, and ``holders`` runs it once for each
 candidate a, with x = a and the other variables over a given range, to
 find the a at which a law holds, such as the members of a nucleus.  The
 checker has two forms, each generated once: on loops of order
-``VECTOR_ORDER`` to 256 its innermost variable is not a loop but the
+``VECTOR_ORDER`` or more its innermost variable is not a loop but the
 bytes of its range, and each term that reads it is a ``bytes.translate``
-of that vector, one C call for the whole row; on other orders every
+of that vector, one C call for the whole row; on smaller orders every
 variable is a loop.  ``partial_evaluator`` evaluates one ground instance
 on a partial table of a given order and reports the first cell that
 blocks it.  The partial evaluator is what makes sound search pruning
@@ -176,7 +176,7 @@ def _checker(q, prog):
     tables are passed only when the identity divides, so a
     multiplication-only identity never builds them; the vector form's
     translate tables only when it reads them."""
-    vector = VECTOR_ORDER <= q.order <= 256
+    vector = q.order >= VECTOR_ORDER
     key = "bytes" if vector else None
     compiled = prog.compiled.get(key)
     if compiled is None:

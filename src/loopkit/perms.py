@@ -47,39 +47,8 @@ class Perm:
             inv[v] = i
         return Perm(inv)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Perm.identity(len(self.images))
-        for _ in range(k):
-            out = self * out
-        return out
-
     def is_identity(self):
         return self.images == tuple(range(len(self.images)))
-
-    def cycles(self):
-        """Nontrivial cycles, each rotated to start at its least element."""
-        seen = [False] * len(self.images)
-        out = []
-        for s in range(len(self.images)):
-            if seen[s]:
-                continue
-            cyc = []
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                cyc.append(t)
-                t = self.images[t]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __str__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
     def __repr__(self):
         return f"Perm({list(self.images)})"

@@ -36,7 +36,7 @@ from math import inf
 
 # canonical_key is imported for callers that take it from this module,
 # such as perfbench.
-from .core import LoopTable, canonical_key, canonical_table
+from .core import MAX_ORDER, LoopTable, canonical_key, canonical_table
 from .errors import BudgetExceeded, InvalidSpec
 from .identities import SAT, VIOLATED, nontrivial_assignments, partial_evaluator, positions
 from .varieties import Context, get_entry, propagation_programs
@@ -67,8 +67,8 @@ class SearchSpec:
     shard_slice: tuple = ()
 
     def __post_init__(self):
-        if self.order < 1:
-            raise InvalidSpec("order must be at least 1")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise InvalidSpec(f"order must be 1 to {MAX_ORDER}, got {self.order}")
         if self.mode not in _MODES:
             raise InvalidSpec(f"unknown mode {self.mode!r}")
         if self.isomorphs not in _ISOMORPHS:

@@ -56,13 +56,12 @@ def _signed_range(bound):
         yield -m
 
 
-def nonnormal_witness(params, bound_x):
+def nonnormal_witness(params, bound_a, bound_x):
     """(x, y, s0, preimage): the first pair in the order (|x.a| + |y.a|,
     element key of x, element key of y) and the first w in
     0, 1, -1, 2, -2, ... whose preimage under L(xy)^-1 L(x) L(y) lies
     outside S; None if the window holds no such pair.  The window is
-    |a| <= params.window_a, |t| <= min(bound_x, p**2) and |w| <= bound_x."""
-    bound_a = params.window_a
+    |a| <= bound_a, |t| <= min(bound_x, p**2) and |w| <= bound_x."""
     tb = min(bound_x, params.p * params.p)
     elems = [BKElement(a, t) for a in _signed_range(bound_a) for t in _signed_range(tb)]
     pairs = sorted(
@@ -125,16 +124,16 @@ def bk_ldiv_reference(params, u, w):
     return v
 
 
-def window_audit_reference(params):
-    """The audit as first written: each ordered core pair is checked on
-    its own, and each product and quotient is computed where a check
-    needs it.  The element operations are read from ``loopkit.bk`` on
-    each call, so a fault patched into that module reaches this audit too.
+def window_audit_reference(params, bound_a):
+    """The audit as first written, over |a| <= bound_a: each ordered core
+    pair is checked on its own, and each product and quotient is computed
+    where a check needs it.  The element operations are read from
+    ``loopkit.bk`` on each call, so a fault patched into that module
+    reaches this audit too.
     """
     bk_mul, bk_ldiv, bk_rdiv = bk.bk_mul, bk.bk_ldiv, bk.bk_rdiv
     standard_inner, oplus = bk.standard_inner, bk.oplus
     p = params.p
-    bound_a = params.window_a
     violations = []
     checks = [0]
 

@@ -59,13 +59,10 @@ def first_coordinates(draw, primes=(2, 3, 5, 7)):
 
 
 def test_params_validate():
-    assert BKParams(2).window_a == 8
-    assert BKParams(3).window_a == 27
-    assert BKParams(7, window_a=5).window_a == 5
-    with pytest.raises(ValueError):
-        BKParams(4)
-    with pytest.raises(ValueError):
-        BKParams(2, window_a=-1)
+    assert BKParams(2).p == 2
+    for p in (1, 4):
+        with pytest.raises(ValueError):
+            BKParams(p)
 
 
 def test_parse_and_format():
@@ -223,9 +220,9 @@ def test_witness_p3_pinned():
 
 
 def test_witness_p5_small_window():
-    params = BKParams(5, window_a=3)
+    params = BKParams(5)
     x, y, s0, pre = nonnormal_witness(params)
-    assert (x, y, s0, pre) == (
+    assert (x, y, s0, pre) == bk_oracle.nonnormal_witness(params, 3, 3) == (
         BKElement(1, 0),
         BKElement(-1, 0),
         BKElement(0, 1),
@@ -234,12 +231,12 @@ def test_witness_p5_small_window():
     assert standard_inner(params, "LL", x, y, pre) == s0
 
 
-@given(window_a=st.integers(1, 3), bound_x=st.integers(1, 8))
+@given(bound_a=st.integers(1, 3), bound_x=st.integers(1, 8))
 @settings(max_examples=10, deadline=None)
-def test_witness_matches_full_scan(window_a, bound_x):
+def test_witness_matches_full_scan(bound_a, bound_x):
     for p in PRIMES_TO_31:
-        params = BKParams(p, window_a=window_a)
-        assert nonnormal_witness(params) == bk_oracle.nonnormal_witness(params, bound_x)
+        params = BKParams(p)
+        assert nonnormal_witness(params) == bk_oracle.nonnormal_witness(params, bound_a, bound_x)
 
 
 def test_witness_closed_form_on_default_window():
@@ -364,7 +361,8 @@ def _mul_fault(mul):
 def test_audit_reports_injected_faults(monkeypatch, name, fault, same_multiset):
     monkeypatch.setattr(loopkit.bk, name, fault(getattr(loopkit.bk, name)))
     raised, violations = _audit_outcome(window_audit, P2)
-    ref_raised, ref_violations = _audit_outcome(bk_oracle.window_audit_reference, P2)
+    ref_raised, ref_violations = _audit_outcome(
+        lambda params: bk_oracle.window_audit_reference(params, params.p**3), P2)
     assert raised is ref_raised
     if raised is None:
         assert violations and ref_violations

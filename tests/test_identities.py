@@ -31,7 +31,7 @@ from loopkit.identities import (
     partial_evaluator,
     positions,
 )
-from loopkit.core import LoopTable, direct_product, opposite, principal_isotope
+from loopkit.core import direct_product, opposite, principal_isotope
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import CATALOG, propagation_programs
 
@@ -293,22 +293,6 @@ def test_vector_form_builds_terms_that_read_the_innermost_variable_twice():
     for q in (cyclic(12), direct_product(cyclic(2), cyclic(7)), dihedral(8)):
         for prog in (square, unit, compile_identity("((x*x)*y) = (x*(x*y))")):
             assert check_identity(q, prog) == oracle_check_identity(q, prog), prog.source
-
-
-def _cyclic(n):
-    return LoopTable([[(i + j) % n for j in range(n)] for i in range(n)], max_order=n)
-
-
-def test_orders_above_256_run_the_scalar_form():
-    # Bytes hold ids below 256 only; larger loops keep the scalar loop.
-    # The ids below 43 are the central Z43 of S3 x Z43, and 43 is a flip.
-    for q, commutative in ((direct_product(dihedral(3), cyclic(43), max_order=258), False),
-                           (_cyclic(260), True)):
-        assert q.order > 256
-        assert check_identity(q, COMM) is commutative
-        assert check_identity(q, COMM, range(43))
-        assert check_identity(q, COMM, [43, 200]) is commutative
-        assert check_identity(q, LIP)
 
 
 # Every catalog equation and every program the search propagates.

@@ -53,6 +53,10 @@ def test_spec_validation():
         SearchSpec(order=4, shards=3, shard_slice=(0, 2))
     with pytest.raises(UnknownVariety):
         SearchSpec(order=4, required=("nope",))
+    # Search leaves skip the table checks, so the spec holds the order limit.
+    assert SearchSpec(order=256).order == 256
+    with pytest.raises(InvalidSpec):
+        SearchSpec(257)
 
 
 def test_reduced_counts_match_naive_oracle():

@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 import theorem_oracle
 from loop_strategies import loops
-from loopkit import perms, structure, varieties
-from loopkit.core import LoopTable, direct_product, isomorphic, opposite, principal_isotope
+from loopkit import cli, perms, structure, varieties
+from loopkit.core import (
+    LoopTable,
+    direct_product,
+    dumps,
+    isomorphic,
+    loads,
+    opposite,
+    principal_isotope,
+)
 from loopkit.errors import LoopError, UnknownVariety
 from loopkit.identities import check_identity, compile_identity, mirror
 from loopkit.perms import Perm
@@ -527,6 +535,37 @@ def test_theorem_suite_marks_inapplicable_rows(q5):
     assert statuses["osborn_nuclei_coincide_and_normal"] == "N/A"
     # The eight-way agreement applies to every loop.
     assert statuses["osborn_eightway_agreement"] == "PASS"
+
+
+def _cml81():
+    """The smallest nonassociative commutative Moufang loop, on (Z/3)^4:
+    (x1, x2, x3, x4)(y1, y2, y3, y4) = (x1 + y1 + (x2 - y2)(x3 y4 - x4 y3),
+    x2 + y2, x3 + y3, x4 + y4) mod 3, with x1 + 3 x2 + 9 x3 + 27 x4 as id."""
+    elems = [e[::-1] for e in product(range(3), repeat=4)]
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        (x1, x2, x3, x4), (y1, y2, y3, y4) = x, y
+        z = (x1 + y1 + (x2 - y2) * (x3 * y4 - x4 * y3), x2 + y2, x3 + y3, x4 + y4)
+        return index[tuple(v % 3 for v in z)]
+
+    return LoopTable([[mul(x, y) for y in elems] for x in elems])
+
+
+def test_osborn_cip_row_applies_at_order_81(tmp_path):
+    # Osborn with the crossed inverse property forces commutative Moufang,
+    # and 81 is the least order with a nonassociative such loop.
+    q = loads(dumps(_cml81()))
+    assert q.order == 81
+    ctx = varieties.Context(q)
+    assert all(ctx.flag(name) for name in ("commutative", "moufang", "osborn", "cip"))
+    assert not ctx.flag("associative")
+    rows = dict(verify_theorems(q).rows)
+    assert "FAIL" not in rows.values()
+    assert rows["osborn_cip_implies_commutative_moufang"] == "PASS"
+    path = tmp_path / "cml81.loop"
+    path.write_text(dumps(q))
+    assert cli.main(["check", str(path)]) == 0
 
 
 def test_proper_osborn_gate(z4, cc6, m12):

@@ -178,8 +178,9 @@ def lc_translation_conditions(q):
 def c_autotopism_condition(q):
     """(R(x)^-2, L(x)^2, 1) is an autotopism for every x."""
     ident = Perm.identity(q.order)
-    return all(is_autotopism(q, q.R(x).inverse() ** 2, q.L(x) * q.L(x), ident)
-               for x in range(q.order))
+    inverses = (q.R(x).inverse() for x in range(q.order))
+    return all(is_autotopism(q, r * r, q.L(x) * q.L(x), ident)
+               for x, r in enumerate(inverses))
 
 
 ROUTES = {
