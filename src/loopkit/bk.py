@@ -6,14 +6,16 @@ with bijections pi_i(w) = p*w + i.  The resulting loop M has unit (0, 0)
 and contains S = {(0, t)} as a subloop that every standard inner
 generator maps INTO itself while some standard generator fails to map it
 ONTO itself, so S is not normal.  All operations are exact integer
-arithmetic; the loop is infinite and evaluated lazily.  ``window_audit``
-checks the defining laws on the elements whose first coordinate a has
-|a| <= p**3.
+arithmetic; the loop is infinite and evaluated lazily.  Multiplication and
+division are each one closed form, and neither calls the other.
+``window_audit`` checks the defining laws, the division round trips among
+them, on the elements whose first coordinate a has |a| <= p**3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import Inconsistent, ParseError
@@ -22,14 +24,7 @@ _INNER_KINDS = ("LL", "RR", "TR")
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -97,27 +92,24 @@ def bk_ldiv(params, u, w):
     The special branch solves the residue conditions directly: the first
     coordinate of v is fixed modulo p and in its p**2 "digit" by the
     target, and the middle digit is pinned by matching the partition
-    index to the target's residue class.  The result is always replayed
-    through bk_mul; a mismatch would be an implementation bug and raises
-    Inconsistent.
+    index to the target's residue class.  The closed form is returned as
+    it is: ``window_audit`` checks u * (u \\ w) = w over its window, and
+    the tests check it against a reference that replays every quotient
+    through bk_mul.
     """
     p = params.p
     a, ux = u
     c, wx = w
     if c % p != 0 or a % p == 0:
-        v = _element(BKElement, (c - a, wx - ux))
-    else:
-        p2 = p * p
-        a2, ra = divmod(a, p2)
-        low = (-a) % p
-        s = (ra + low) // p
-        index = wx % p
-        j = (index + 1 - s) % p
-        b = (c // p - a2) * p2 + p * j + low
-        v = _element(BKElement, (b, wx // p - ux))
-    if bk_mul(params, u, v) != w:
-        raise Inconsistent(f"division failed: {u} \\ {w}")
-    return v
+        return _element(BKElement, (c - a, wx - ux))
+    p2 = p * p
+    a2, ra = divmod(a, p2)
+    low = (-a) % p
+    s = (ra + low) // p
+    index = wx % p
+    j = (index + 1 - s) % p
+    b = (c // p - a2) * p2 + p * j + low
+    return _element(BKElement, (b, wx // p - ux))
 
 
 def bk_rdiv(params, w, v):

@@ -23,7 +23,7 @@ The evaluators read divisions from a position index of the cells
 first occurs.  It is built once per row-1 preseed and kept exact by
 setting and clearing two entries wherever a node fills or undoes a cell
 and wherever a value trial sets and resets one.  The ground instances
-are built once per slice.
+are built once per slice, and in the parent before a pool starts.
 """
 
 from __future__ import annotations
@@ -149,6 +149,7 @@ def _search_pooled(spec, budget_nodes, budget_seconds, start):
 
     k = spec.shards
     share = None if budget_nodes is None else -(-budget_nodes // k)
+    _instances(spec.required, spec.order)  # so forked workers inherit them
     with ProcessPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
         counts, slice_rows, visits = zip(*pool.map(
             _slice_worker, shard(spec, k), repeat(share), repeat(budget_seconds), repeat(start)))
@@ -186,6 +187,18 @@ def _slice_worker(spec, budget_nodes, budget_seconds, start):
     return res.count, [q.rows for q in res.found], res.visited
 
 
+def _instances(required, n):
+    """(evaluator, assignment) for each ground instance at order n of the
+    required entries' programs that the loop laws leave open.  Both are
+    cached on the programs, so workers forked after one call inherit them."""
+    instances = []
+    for name in required:
+        for prog in propagation_programs(name):
+            evaluate = partial_evaluator(prog, n)
+            instances.extend((evaluate, assign) for assign in nontrivial_assignments(prog, n))
+    return instances
+
+
 def _search_slice(spec, budget_nodes, budget_seconds, start):
     """The search of ``spec`` in this process, with ``spec.shards`` == 1.
 
@@ -207,14 +220,7 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
         index, k = spec.shard_slice
         preseeds = _row1_prefixes(n, k)[index::k]
 
-    # The ground instances of the required programs that are not loop-law
-    # tautologies, as (evaluator, assignment).  An entry with a predicate
-    # has no programs and is only checked at the leaves.
-    progs = [prog for name in required for prog in propagation_programs(name)]
-    instances = []
-    for prog in progs:
-        evaluate = partial_evaluator(prog, n)
-        instances.extend((evaluate, assign) for assign in nontrivial_assignments(prog, n))
+    instances = _instances(required, n)
 
     found = []
     seen_canonical = set()
@@ -285,9 +291,8 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
             v = bit.bit_length() - 1
             nodes += 1
             if nodes >= check_at:
-                if nodes >= node_limit:
-                    raise BudgetExceeded(nodes, time.monotonic() - start)
-                if budget_seconds is not None and time.monotonic() - start > budget_seconds:
+                if nodes >= node_limit or (
+                        budget_seconds is not None and time.monotonic() - start > budget_seconds):
                     raise BudgetExceeded(nodes, time.monotonic() - start)
                 check_at = min((nodes | 1023) + 1, node_limit)
             cells[idx] = v

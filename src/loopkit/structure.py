@@ -188,10 +188,13 @@ def is_normal_subloop(q, s):
     so one that maps s into s maps it onto s, and the group they generate
     does too.  In an infinite loop that fails: ``loopkit.bk`` builds a
     subloop that every standard generator maps into itself and that is
-    not normal.
+    not normal.  {0} and Q are normal in every loop, so they are answered
+    without building the division tables.
     """
     if not is_subloop(q, s):
         raise NotASubloop(f"{s!r} is not a subloop")
+    if len(s) in (1, q.order):
+        return True
     rows, (ld, rd) = q.rows, q.divisions()
     mask, mem = s.mask, s.members()
     for x in range(q.order):

@@ -23,7 +23,7 @@ from loopkit.search import (
     shard,
 )
 from loopkit.tables import chein_double, cyclic, dihedral
-from loopkit.varieties import check_variety
+from loopkit.varieties import check_variety, propagation_programs
 from search_oracle import (
     PartialTable,
     enumerate_reduced_naive,
@@ -353,6 +353,21 @@ def test_shards_inside_one_call_match():
                 assert got == search_slices_serially(spec, k), (required, mode, isomorphs, k)
                 assert (pooled.count, pooled.complete) == (whole.count, whole.complete)
                 assert pooled.shard_slice == ()
+
+
+def test_pooled_search_builds_the_instances_in_the_parent():
+    # Forked workers inherit what the parent built before the pool started.
+    spec = SearchSpec(order=5, required=("commutative",))
+    progs = propagation_programs("commutative")
+    for prog in progs:
+        prog.compiled.pop(5, None)
+        prog.nontrivial.pop(5, None)
+    pooled = search(replace(spec, shards=2))
+    for prog in progs:
+        assert 5 in prog.compiled and 5 in prog.nontrivial
+    whole = search(spec)
+    assert pooled.count == whole.count > 0
+    assert tables(pooled.found) == tables(whole.found)
 
 
 def test_pool_is_capped_at_the_cpu_count(monkeypatch):

@@ -10,7 +10,7 @@ import center_oracle
 import subloop_oracle
 from loop_strategies import loops, relabel
 from loopkit import perms, structure
-from loopkit.core import isomorphic
+from loopkit.core import LoopTable, isomorphic
 from loopkit.errors import NotASubloop, NotNormal
 from loopkit.structure import SubloopSet
 from loopkit.tables import chein_double, cyclic, dihedral
@@ -190,11 +190,26 @@ def test_normality_in_s3(s3):
     assert not structure.is_normal_subloop(s3, reflection)
 
 
-def test_normality_matches_oracle(corpus5, s3, cc6):
-    loops = [q for _id, q in corpus5] + [s3, cc6]
+def test_normality_matches_oracle(corpus5, classes6, s3, cc6):
+    # Every subloop, {0} and Q among them, of every loop up to order 6.
+    loops = [q for _id, q in corpus5 + classes6] + [s3, cc6]
     for q in loops:
         for s in structure.all_subloops(q):
             assert structure.is_normal_subloop(q, s) == oracle_is_normal(q, s)
+
+
+@pytest.mark.parametrize("q", [cyclic(1), cyclic(6), chein_double(dihedral(3)), dihedral(8)],
+                         ids=["trivial", "z6", "m12", "d16"])
+def test_trivial_subloops_build_no_divisions(q):
+    fresh = LoopTable(q.rows)
+    n = fresh.order
+    for s in (SubloopSet(n, 1), SubloopSet(n, (1 << n) - 1)):
+        assert structure.is_normal_subloop(fresh, s)
+    assert fresh._ldiv is None and fresh._rdiv is None
+    if n > 1:
+        # A proper subloop is decided from the division tables.
+        structure.is_normal_subloop(fresh, structure.all_subloops(fresh)[1])
+        assert fresh._ldiv is not None
 
 
 @settings(max_examples=40, deadline=None)
