@@ -190,13 +190,12 @@ def cmd_isotopes(args):
     q = load_path(args.path)
     n = q.order
     start = time.monotonic()
-    classes = {}
+    classes = set()
     for a in range(n):
         for b in range(n):
             if args.budget_seconds is not None and time.monotonic() - start > args.budget_seconds:
                 raise BudgetExceeded(a * n + b, time.monotonic() - start)
-            iso = principal_isotope(q, a, b)
-            classes.setdefault(canonical_key(iso), iso)
+            classes.add(canonical_key(principal_isotope(q, a, b)))
     print(f"order: {n}")
     print(f"principal isotopes: {n * n}")
     print(f"isomorphism classes: {len(classes)}")

@@ -11,8 +11,9 @@ Compilation produces one register program holding each distinct subterm
 once, operands first, in first-occurrence order: a repeat reads the same
 cells as its first occurrence, so one evaluation blocks and judges as
 each copy would.  On first use the program is compiled again, into
-generated Python, for each of two uses.  The full-table checker is a
-nested loop whose outermost loop, over x, reads its own range:
+generated Python, for each of two uses.  The full-table checker is
+called with the loop, binds from it just the tables its body reads, and
+runs a nested loop whose outermost loop, over x, reads its own range:
 ``check_identity`` runs it with every variable over the whole loop, or
 with x alone over a given range, and ``holders`` runs it once for each
 candidate a, with x = a and the other variables over a given range, to
@@ -65,11 +66,10 @@ class Program:
     lhs: int
     rhs: int
     nvars: int
-    divides: bool
     uses_x: bool
-    # Generated functions: the full-table checker and the translate tables
-    # it reads, under None in its scalar form and under "bytes" in its
-    # vector form; the partial evaluator for order n under n.
+    # Generated functions: the full-table checker under None in its scalar
+    # form and under "bytes" in its vector form; the partial evaluator for
+    # order n under n.
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # The result of nontrivial_assignments for order n under n.
     nontrivial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -113,8 +113,7 @@ def compile_identity(source):
 
     lhs, rhs = (side(text.replace(" ", "")) for text in source.split("="))
     nvars = max((a + 1 for op, a, _b in ops if op == VAR), default=0)
-    divides = any(op in (LDIV, RDIV) for op, _a, _b in ops)
-    return Program(source, tuple(ops), lhs, rhs, nvars, divides, (VAR, 0, 0) in index)
+    return Program(source, tuple(ops), lhs, rhs, nvars, (VAR, 0, 0) in index)
 
 
 _MIRRORED = {MUL: "*", LDIV: "/", RDIV: "\\"}
@@ -142,8 +141,7 @@ def check_identity(q, prog, among=None):
         among = everything
     else:
         _require_x(prog)
-    check, tables, _ = _checker(q, prog)
-    return check(*tables, among, everything)
+    return _checker(q, prog)(q, among, everything)
 
 
 def holders(q, prog, among, others):
@@ -151,10 +149,9 @@ def holders(q, prog, among, others):
     and every other variable ranging over ``others``.  ``prog`` must use x,
     which its checker's outermost loop binds, or ValueError is raised."""
     _require_x(prog)
-    check, tables, vector = _checker(q, prog)
-    if vector:
-        others = bytes(others)  # the vector form's bytes(R), made once for every a
-    return tuple(a for a in among if check(*tables, (a,), others))
+    check = _checker(q, prog)
+    others = bytes(others)  # made once for every a: either form ranges over bytes
+    return tuple(a for a in among if check(q, (a,), others))
 
 
 def _require_x(prog):
@@ -171,22 +168,16 @@ VECTOR_ORDER = 12
 
 
 def _checker(q, prog):
-    """The full-table checker for the order of q, generated on first use,
-    its table arguments, and whether it is the vector form.  The division
-    tables are passed only when the identity divides, so a
-    multiplication-only identity never builds them; the vector form's
-    translate tables only when it reads them."""
-    vector = q.order >= VECTOR_ORDER
-    key = "bytes" if vector else None
-    compiled = prog.compiled.get(key)
-    if compiled is None:
-        source, translated = _full_source(prog, vector)
-        compiled = prog.compiled[key] = _build(source, "check"), translated
-    check, translated = compiled
-    tables = (q.rows, *q.divisions()) if prog.divides else (q.rows, None, None)
-    if translated:
-        tables += tuple(q.translations(_SYMBOLS[op], side) for op, side in translated)
-    return check, tables, vector
+    """The full-table checker for the order of q, generated on first use.
+    It is called as ``check(q, R0, R)`` and binds from q only the tables
+    its body reads, so a multiplication-only identity never builds the
+    division tables, and the vector form builds only the translate tables
+    it reads."""
+    key = "bytes" if q.order >= VECTOR_ORDER else None
+    check = prog.compiled.get(key)
+    if check is None:
+        check = prog.compiled[key] = _build(_full_source(prog, key is not None), "check")
+    return check
 
 
 def partial_evaluator(prog, n):
@@ -317,13 +308,16 @@ _TABLES = {MUL: "rows", LDIV: "ld", RDIV: "rd"}
 # (side 0) or its right one (side 1), as the vector form names them.
 _TRANSLATIONS = {(MUL, 0): "mrow", (MUL, 1): "mcol", (LDIV, 0): "lrow",
                  (LDIV, 1): "lcol", (RDIV, 0): "rrow", (RDIV, 1): "rcol"}
+# How the checker binds each table from the loop q it is called with.
+_BINDINGS = {"rows": "q.rows", "ld": "q.divisions()[0]", "rd": "q.divisions()[1]",
+             **{name: f"q.translations({_SYMBOLS[op]!r}, {side})"
+                for (op, side), name in _TRANSLATIONS.items()}}
 
 
 def _full_source(prog, vector=False):
-    """A nested loop over the variables the identity uses; the outermost
-    one ranges over R0, the others over R.  Returns the source and the
-    (op, side) keys of the translate tables it reads, in the order of the
-    arguments that follow rd.
+    """The source of ``check(q, R0, R)``: a nested loop over the variables
+    the identity uses, the outermost over R0 and the others over R, after
+    one line for each table of q the loop reads, binding it.
 
     Each term is computed at the outermost level that binds all of its
     variables, a row of a table is looked up at the level of its row
@@ -362,7 +356,7 @@ def _full_source(prog, vector=False):
     stmts = [[] for _ in range(depth + 1)]
     expr = []
     row_names = {}
-    translated = set()
+    read = set()
 
     def hoist(key, at, row):
         """The name of ``row``, looked up once at level ``at``."""
@@ -379,15 +373,17 @@ def _full_source(prog, vector=False):
             expr.append("0")
             continue
         if level[j] != inner:
+            read.add(_TABLES[op])
             row = f"{_TABLES[op]}[{expr[a]}]"
             if level[a] < level[j]:
                 row = hoist((op, a), level[a], row)
             value = f"{row}[{expr[b]}]"
         elif level[a] == inner == level[b]:
+            read.add(_TABLES[op])
             value = f"bytes([{_TABLES[op]}[s][t] for s, t in zip({expr[a]}, {expr[b]})])"
         else:
             side, fixed, vec = (1, b, a) if level[a] == inner else (0, a, b)
-            translated.add((op, side))
+            read.add(_TRANSLATIONS[op, side])
             table = hoist((op, side, fixed), level[fixed],
                           f"{_TRANSLATIONS[op, side]}[{expr[fixed]}]")
             value = f"{expr[vec]}.translate({table})"
@@ -397,7 +393,6 @@ def _full_source(prog, vector=False):
             expr.append(f"t{j}")
             stmts[level[j]].append(f"t{j} = {value}")
     sides = [expr[lhs], expr[rhs]]
-    tables = tuple(key for key in _TRANSLATIONS if key in translated)
     if inner:
         var = f"v{used[-1]}"
         stmts[0].insert(0, f"{var} = bytes({'R0' if depth == 1 else 'R'})")
@@ -405,7 +400,8 @@ def _full_source(prog, vector=False):
                  for k, text in zip((lhs, rhs), sides)]
     stmts[depth] += [f"if {sides[0]} != {sides[1]}:", "    return False"]
 
-    lines = [f"def check(rows, ld, rd, {''.join(_TRANSLATIONS[k] + ', ' for k in tables)}R0, R):"]
+    lines = ["def check(q, R0, R):"]
+    lines += [f"    {name} = {table}" for name, table in _BINDINGS.items() if name in read]
     indent = "    "
     for d in range(depth + 1):
         if d and d != inner:
@@ -413,7 +409,7 @@ def _full_source(prog, vector=False):
             indent += "    "
         lines.extend(indent + s for s in stmts[d])
     lines.append("    return True")
-    return "\n".join(lines) + "\n", tables
+    return "\n".join(lines) + "\n"
 
 
 def _partial_source(prog, n):

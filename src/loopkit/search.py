@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import repeat
 from math import inf
 
@@ -394,8 +395,10 @@ def _search_slice(spec, budget_nodes, budget_seconds, start):
     return SearchResult(n, found, count, nodes, elapsed, not first or count == 0, spec.shard_slice)
 
 
+@cache
 def _row1_prefixes(n, k):
-    """Row-1 prefixes of the minimal length whose count reaches k.
+    """Row-1 prefixes of the minimal length whose count reaches k, built
+    once per (n, k) in a process and shared, so callers only slice them.
 
     The prefixes are tuples of values for cells (1,1)..(1,length) in
     lexicographic order, extended a column at a time.  With fewer prefixes
@@ -413,20 +416,20 @@ def _row1_prefixes(n, k):
 
 
 # ---------------------------------------------------------------------------
-# counting
+# counting, without budgets: a budgeted run calls search
 
 
-def count_reduced(order, required=(), forbidden=(), **kwargs):
+def count_reduced(order, required=(), forbidden=()):
     spec = SearchSpec(order, tuple(required), tuple(forbidden), mode="count")
-    return search(spec, **kwargs).count
+    return search(spec).count
 
 
-def count_up_to_isomorphism(order, required=(), forbidden=(), **kwargs):
+def count_up_to_isomorphism(order, required=(), forbidden=()):
     spec = SearchSpec(order, tuple(required), tuple(forbidden), isomorphs="up_to_iso")
-    return search(spec, **kwargs).count
+    return search(spec).count
 
 
-def minimal_order(required, forbidden=(), max_order=12, **kwargs):
+def minimal_order(required, forbidden=(), max_order=12):
     """Ascending search for the smallest order admitting a loop in every
     required variety and no forbidden one.
 
@@ -435,7 +438,7 @@ def minimal_order(required, forbidden=(), max_order=12, **kwargs):
     """
     for n in range(1, max_order + 1):
         spec = SearchSpec(n, tuple(required), tuple(forbidden), mode="first")
-        res = search(spec, **kwargs)
+        res = search(spec)
         if res.count:
             return n, res.found[0]
     return None

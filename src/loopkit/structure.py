@@ -70,9 +70,9 @@ class SubloopSet:
 
 
 def is_subloop(q, s):
-    """Whether the subset holds 0 and is closed under multiplication,
-    which in a finite loop makes it closed under both divisions."""
-    if 0 not in s:
+    """Whether s, a set of q's order, holds 0 and is closed under
+    multiplication, which in a finite loop closes it under both divisions."""
+    if s.n != q.order or 0 not in s:
         return False
     rows, mask, mem = q.rows, s.mask, s.members()
     return all(mask >> rows[x][y] & 1 for x in mem for y in mem)
@@ -188,13 +188,13 @@ def is_normal_subloop(q, s):
     so one that maps s into s maps it onto s, and the group they generate
     does too.  In an infinite loop that fails: ``loopkit.bk`` builds a
     subloop that every standard generator maps into itself and that is
-    not normal.  {0} and Q are normal in every loop, so they are answered
-    without building the division tables.
+    not normal.  {0} and Q are subloops and normal in every loop, so they
+    are answered first, without a closure check or the division tables.
     """
+    if s.n == q.order and s.mask in (1, (1 << q.order) - 1):
+        return True
     if not is_subloop(q, s):
         raise NotASubloop(f"{s!r} is not a subloop")
-    if len(s) in (1, q.order):
-        return True
     rows, (ld, rd) = q.rows, q.divisions()
     mask, mem = s.mask, s.members()
     for x in range(q.order):

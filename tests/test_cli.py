@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from loopkit import cli, structure, varieties
-from loopkit.core import dump_path, loads
+from loopkit.core import dump_path, isomorphic, loads, principal_isotope
 from loopkit.search import SearchSpec, search
 from loopkit.tables import cyclic, dihedral
 from loopkit.varieties import TheoremReport
@@ -334,6 +334,24 @@ def test_isotopes_of_group(z4_file, capsys):
     assert "principal isotopes: 16" in out
     assert "isomorphism classes: 1" in out
     assert "gloop: yes" in out
+
+
+def test_isotopes_output_counts_classes_by_pairwise_isomorphism(q5, cc6, tmp_path, capsys):
+    # The class count read off canonical keys, against one found by
+    # testing each principal isotope for isomorphism with every class so far.
+    for name, q in (("z4", cyclic(4)), ("s3", dihedral(3)), ("q5", q5), ("cc6", cc6)):
+        reps = []
+        for a in range(q.order):
+            for b in range(q.order):
+                iso = principal_isotope(q, a, b)
+                if not any(isomorphic(iso, r) for r in reps):
+                    reps.append(iso)
+        path = tmp_path / f"{name}.loop"
+        dump_path(q, str(path))
+        assert cli.main(["isotopes", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"order: {q.order}\nprincipal isotopes: {q.order ** 2}\n"
+            f"isomorphism classes: {len(reps)}\ngloop: {'yes' if len(reps) == 1 else 'no'}\n"), name
 
 
 def test_isotopes_budget_exceeded(z4_file, capsys):

@@ -85,6 +85,16 @@ def test_multiplication_only_identities_build_no_divisions():
         assert q._ldiv is not None
 
 
+def test_vector_form_builds_only_the_translate_tables_it_reads():
+    # Associativity translates by the rows of * alone; Buchsteiner's law
+    # also by its columns, the rows of \ and the columns of /.
+    q = dihedral(8)
+    assert check_identity(q, ASSOC)
+    assert set(q._translations) == {("*", 0)} and q._ldiv is None
+    assert check_identity(q, CATALOG["buchsteiner"].equations[0])
+    assert set(q._translations) == {("*", 0), ("*", 1), ("\\", 0), ("/", 1)}
+
+
 def test_translate_tables_fix_one_operand():
     q = principal_isotope(direct_product(dihedral(3), cyclic(2)), 5, 7)
     n = q.order
@@ -226,9 +236,11 @@ def test_compiled_functions_are_cached_per_order():
 def test_full_source_spells_both_forms():
     # Below VECTOR_ORDER the checker loops over every variable; from it
     # on, the innermost variable is the bytes of its range, and each term
-    # that reads it is one translate of a vector.
-    assert _full_source(ASSOC) == ("""\
-def check(rows, ld, rd, R0, R):
+    # that reads it is one translate of a vector.  Each form binds from q
+    # just the tables its body reads.
+    assert _full_source(ASSOC) == """\
+def check(q, R0, R):
+    rows = q.rows
     for v0 in R0:
         h0 = rows[v0]
         for v1 in R:
@@ -238,9 +250,11 @@ def check(rows, ld, rd, R0, R):
                 if h1[v2] != h0[h2[v2]]:
                     return False
     return True
-""", ())
-    assert _full_source(ASSOC, vector=True) == ("""\
-def check(rows, ld, rd, mrow, R0, R):
+"""
+    assert _full_source(ASSOC, vector=True) == """\
+def check(q, R0, R):
+    rows = q.rows
+    mrow = q.translations('*', 0)
     v2 = bytes(R)
     for v0 in R0:
         h0 = rows[v0]
@@ -251,11 +265,14 @@ def check(rows, ld, rd, mrow, R0, R):
             if v2.translate(h1) != v2.translate(h2).translate(h3):
                 return False
     return True
-""", ((MUL, 0),))
+"""
     buchsteiner = CATALOG["buchsteiner"].equations[0]
     assert buchsteiner.source == "(x\\((x*y)*z)) = ((y*(z*x))/x)"
-    assert _full_source(buchsteiner) == ("""\
-def check(rows, ld, rd, R0, R):
+    assert _full_source(buchsteiner) == """\
+def check(q, R0, R):
+    rows = q.rows
+    ld = q.divisions()[0]
+    rd = q.divisions()[1]
     for v0 in R0:
         h0 = rows[v0]
         h2 = ld[v0]
@@ -266,9 +283,14 @@ def check(rows, ld, rd, R0, R):
                 if h2[h1[v2]] != rd[h3[rows[v2][v0]]][v0]:
                     return False
     return True
-""", ())
-    assert _full_source(buchsteiner, vector=True) == ("""\
-def check(rows, ld, rd, mrow, mcol, lrow, rcol, R0, R):
+"""
+    assert _full_source(buchsteiner, vector=True) == """\
+def check(q, R0, R):
+    rows = q.rows
+    mrow = q.translations('*', 0)
+    mcol = q.translations('*', 1)
+    lrow = q.translations('\\\\', 0)
+    rcol = q.translations('/', 1)
     v2 = bytes(R)
     for v0 in R0:
         h0 = rows[v0]
@@ -281,15 +303,15 @@ def check(rows, ld, rd, mrow, mcol, lrow, rcol, R0, R):
             if v2.translate(h1).translate(h2) != v2.translate(h3).translate(h4).translate(h5):
                 return False
     return True
-""", ((MUL, 0), (MUL, 1), (LDIV, 0), (RDIV, 1)))
+"""
 
 
 def test_vector_form_builds_terms_that_read_the_innermost_variable_twice():
     # z*z has two vector operands, and y\y = e a side without the variable.
     square = compile_identity("(z*z) = (x*(y*z))")
-    assert "bytes([rows[s][t] for s, t in zip(v2, v2)])" in _full_source(square, vector=True)[0]
+    assert "bytes([rows[s][t] for s, t in zip(v2, v2)])" in _full_source(square, vector=True)
     unit = compile_identity("(y\\y) = e")
-    assert "bytes((0,)) * len(v1)" in _full_source(unit, vector=True)[0]
+    assert "bytes((0,)) * len(v1)" in _full_source(unit, vector=True)
     for q in (cyclic(12), direct_product(cyclic(2), cyclic(7)), dihedral(8)):
         for prog in (square, unit, compile_identity("((x*x)*y) = (x*(x*y))")):
             assert check_identity(q, prog) == oracle_check_identity(q, prog), prog.source

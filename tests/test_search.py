@@ -257,6 +257,15 @@ def test_row1_prefixes_match_oracle():
             assert _row1_prefixes(n, k) == row1_prefixes(n, k), (n, k)
 
 
+def test_row1_prefixes_are_built_once_per_order_and_slice_count():
+    # Every slice reads the one list for (n, k) and takes its own stride.
+    _row1_prefixes.cache_clear()
+    slices = shard(SearchSpec(6, mode="count"), 64)
+    assert sum(search(piece).count for piece in slices) == 9408
+    info = _row1_prefixes.cache_info()
+    assert (info.misses, info.hits) == (1, 63)
+
+
 def test_search_makes_no_futile_evaluator_calls(monkeypatch):
     # Exact watch lists, no loop-law tautologies and no value trials that
     # cannot prune: the order-6 proper-Osborn screen, propagated by Osborn

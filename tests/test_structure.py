@@ -212,6 +212,37 @@ def test_trivial_subloops_build_no_divisions(q):
         assert fresh._ldiv is not None
 
 
+def test_trivial_subloops_skip_the_closure_check(monkeypatch):
+    calls = []
+    original = structure.is_subloop
+
+    def counting(q, s):
+        calls.append(s)
+        return original(q, s)
+
+    monkeypatch.setattr(structure, "is_subloop", counting)
+    q = cyclic(256)
+    for s in (SubloopSet(256, 1), SubloopSet(256, (1 << 256) - 1), structure.center(q)):
+        assert structure.is_normal_subloop(q, s)
+    assert calls == []
+    # A proper subloop is checked for closure once; {k} with k != 0 is not
+    # a subloop and still raises.
+    assert structure.is_normal_subloop(q, SubloopSet.from_members(256, [0, 128]))
+    assert len(calls) == 1
+    with pytest.raises(NotASubloop):
+        structure.is_normal_subloop(q, SubloopSet.from_members(256, [5]))
+
+
+def test_a_set_of_another_order_is_not_a_subloop():
+    q = cyclic(4)
+    for s in (SubloopSet.from_members(8, [0, 5]), SubloopSet.from_members(8, [0, 2]),
+              SubloopSet(8, 1), SubloopSet(2, 3)):
+        assert not structure.is_subloop(q, s)
+        for check in (structure.is_normal_subloop, structure.quotient, structure.subloop_table):
+            with pytest.raises(NotASubloop):
+                check(q, s)
+
+
 @settings(max_examples=40, deadline=None)
 @given(loops())
 def test_normality_matches_oracle_on_random_loops(q):
